@@ -66,6 +66,7 @@ from .pointcount import (
     count_report,
     count_zero_locus,
     fixed_q_class,
+    fixed_q_report,
     interpolate_class,
     kernel_backend,
     locus_class,

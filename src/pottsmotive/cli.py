@@ -281,19 +281,19 @@ def cmd_count(file, family, m, k, n, primes, check_prime, q0):
     """Count complement points over sample primes and interpolate the class."""
     g = _input_graph(file, family, m, k, n)
     z = tutte.tutte_delcon(g)
+    sample_primes = _parse_primes(primes) if primes else None
     if q0 is None:
         dim = g.edge_count + 1
-        counter = lambda p: pointcount.count_complement(z, dim, p)
-        sample_primes = _parse_primes(primes) if primes else None
-    else:
-        dim = g.edge_count
-        counter = lambda p: pointcount.count_fixed_q(z, q0, dim, p)
-        sample_primes = (
-            _parse_primes(primes)
-            if primes
-            else pointcount.default_primes(dim, skip_two=True)
+        report = pointcount.count_report(
+            lambda p: pointcount.count_complement(z, dim, p),
+            dim,
+            sample_primes,
+            check_prime,
         )
-    report = pointcount.count_report(counter, dim, sample_primes, check_prime)
+    else:
+        report = pointcount.fixed_q_report(
+            z, q0, g.edge_count, sample_primes, check_prime
+        )
     click.echo(json.dumps(report.to_json()))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classpoly import ONE, T, ZERO, ClassPoly, RationalClass
+from .classpoly import ONE, T, ClassPoly, RationalClass
 from .errors import InvalidArgumentError
 from .multigraph import FamilySpec, MultiGraph
 from .pointcount import complement_class, locus_complement_class
@@ -227,9 +227,6 @@ def disjoint_union_class(
     return num.divexact(T - 1)
 
 
-JOIN_KINDS = ("vertex-join", "bridge-join", "append-edge")
-
-
 def join_transform(z: ClassPoly, kind: str) -> ClassPoly:
     """Effect of joining constructions on a class: a vertex join leaves it
     unchanged, a bridge join or an appended (looping or not) edge multiplies
@@ -287,18 +284,3 @@ def graph_class(
         budget=budget,
     )
 
-
-def zero_class() -> ClassPoly:
-    return ZERO
-
-
-def splitting_family_classes(
-    g: MultiGraph, edge_id: str, count: int, **oracle_kw
-) -> list[ClassPoly]:
-    """Oracle classes of the first `count` members of the splitting family
-    of (g, edge); member m is g with the edge split into m edges."""
-    out = []
-    for m in range(count):
-        gm = g.split_edge(edge_id, m)
-        out.append(graph_class(gm, **oracle_kw))
-    return out

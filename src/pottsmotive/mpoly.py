@@ -11,6 +11,7 @@ equality is polynomial equality and printing is deterministic.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterator, Mapping, Union
 
 from .errors import ExactDivisionError, InvalidArgumentError
@@ -18,6 +19,7 @@ from .errors import ExactDivisionError, InvalidArgumentError
 _NUM_SPLIT = re.compile(r"(\d+)")
 
 
+@lru_cache(maxsize=4096)
 def var_sort_key(name: str):
     """Canonical total order on variable names: q first, then natural order."""
     if name == "q":
@@ -30,7 +32,13 @@ def var_sort_key(name: str):
             pieces.append((1, int(piece), ""))
         else:
             pieces.append((0, 0, piece))
-    return (1, tuple(pieces))
+    # the name itself breaks ties such as "t1" against "t01"
+    return (1, tuple(pieces), name)
+
+
+def _is_canonical(variables: tuple) -> bool:
+    keys = [var_sort_key(n) for n in variables]
+    return all(a < b for a, b in zip(keys, keys[1:]))
 
 
 class MPoly:
@@ -49,13 +57,13 @@ class MPoly:
                     f"exponent tuple {exps!r} does not match variables {variables!r}"
                 )
         used = [i for i in range(len(variables)) if any(e[i] for e in raw)]
-        order = sorted(used, key=lambda i: var_sort_key(variables[i]))
-        object.__setattr__(self, "variables", tuple(variables[i] for i in order))
-        object.__setattr__(
-            self,
-            "terms",
-            {tuple(e[i] for i in order): c for e, c in raw.items()},
-        )
+        # re-key only when a variable is unused or the order is not canonical
+        if len(used) < len(variables) or not _is_canonical(variables):
+            order = sorted(used, key=lambda i: var_sort_key(variables[i]))
+            variables = tuple(variables[i] for i in order)
+            raw = {tuple(e[i] for i in order): c for e, c in raw.items()}
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", raw)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -202,15 +210,32 @@ class MPoly:
         if isinstance(value, int):
             value = MPoly.const(value)
         idx = self.variables.index(name)
-        powers: dict[int, MPoly] = {0: MPoly.const(1)}
-        out = MPoly.zero()
+        rest = self.variables[:idx] + self.variables[idx + 1 :]
+        names = tuple(sorted(set(rest) | set(value.variables), key=var_sort_key))
+        pos = {n: i for i, n in enumerate(names)}
+        rest_idx = [pos[n] for n in rest]
+        value_idx = [pos[n] for n in value.variables]
+
+        def lift(exps, idx_map) -> list[int]:
+            e = [0] * len(names)
+            for i, x in zip(idx_map, exps):
+                e[i] = x
+            return e
+
+        # the terms of value**e, lifted to `names`, for each exponent e of `name`
+        powers: dict[int, list] = {}
+        out: dict = {}
         for exps, c in self.terms.items():
             e = exps[idx]
             if e not in powers:
-                powers[e] = value**e
-            rest = tuple(x if i != idx else 0 for i, x in enumerate(exps))
-            out = out + MPoly(self.variables, {rest: c}) * powers[e]
-        return out
+                powers[e] = [
+                    (lift(pe, value_idx), pc) for pe, pc in (value**e).terms.items()
+                ]
+            base = lift(exps[:idx] + exps[idx + 1 :], rest_idx)
+            for pe, pc in powers[e]:
+                key = tuple(a + b for a, b in zip(base, pe))
+                out[key] = out.get(key, 0) + c * pc
+        return MPoly(names, out)
 
     def eval_mod(self, assignment: Mapping[str, int], prime: int) -> int:
         """Value at a point of the field with `prime` elements."""

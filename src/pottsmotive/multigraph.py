@@ -59,16 +59,6 @@ def component_count(vertex_count: int, pairs) -> int:
     return n
 
 
-def connected_in_subset(vertex_count: int, pairs, a: int, b: int) -> bool:
-    """Whether vertices a and b lie in one component of (V, pairs)."""
-    parent = list(range(vertex_count))
-    for u, v in pairs:
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-    return _find(parent, a) == _find(parent, b)
-
-
 @dataclass(frozen=True)
 class MultiGraph:
     """Immutable multigraph; loops and parallel edges allowed."""

@@ -37,6 +37,8 @@ except ImportError:  # pragma: no cover
 
 DEFAULT_BUDGET = 10**8
 PRIME_LADDER = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the compiled kernel keeps every product of two residues in 64 bits
+MAX_PRIME = 2**31
 
 
 def kernel_backend() -> str:
@@ -54,7 +56,14 @@ def _budget(budget: int | None) -> int:
     if budget is not None:
         return budget
     raw = os.environ.get("POTTS_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"POTTS_BUDGET must be a decimal integer, got {raw!r}"
+        ) from None
 
 
 def _check_budget(prime: int, ambient_dim: int, budget: int | None) -> None:
@@ -184,6 +193,17 @@ def _class_from_samples(samples, ambient_dim: int) -> ClassPoly:
     return out
 
 
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def default_primes(ambient_dim: int, *, skip_two: bool = False) -> tuple[int, ...]:
     ladder = [p for p in PRIME_LADDER if not (skip_two and p == 2)]
     if ambient_dim + 1 > len(ladder):
@@ -239,6 +259,13 @@ def count_report(
         )
     if check_prime is None:
         check_prime = default_check_prime(primes)
+    if len(set(primes)) != len(primes):
+        raise InvalidArgumentError(f"sample primes {primes} repeat a prime")
+    if check_prime in primes:
+        raise InvalidArgumentError(f"check prime {check_prime} is also a sample prime")
+    bad = [p for p in primes + (check_prime,) if not (p < MAX_PRIME and _is_prime(p))]
+    if bad:
+        raise InvalidArgumentError(f"{bad} are not primes below 2^31")
     nominal = sum(p**ambient_dim for p in primes) + check_prime**ambient_dim
     cap = _budget(None)
     if nominal > cap:
@@ -317,6 +344,31 @@ def locus_complement_class(
     )
 
 
+def fixed_q_report(
+    poly: MPoly,
+    q0: int,
+    edge_count: int,
+    primes: Sequence[int] | None = None,
+    check_prime: int | None = None,
+    budget: int | None = None,
+) -> CountReport:
+    """count_report of a fixed-q complement slice, sampled at odd primes by
+    default.  q0 must avoid 0 and 1 in every field counted: there the slice
+    degenerates and its count says nothing about the class."""
+    if primes is None:
+        primes = default_primes(edge_count, skip_two=True)
+
+    def counter(prime: int) -> int:
+        if q0 % prime in (0, 1):
+            raise InvalidArgumentError(
+                f"q = {q0} is {q0 % prime} modulo {prime}; "
+                "the fixed-q slice degenerates"
+            )
+        return count_fixed_q(poly, q0, edge_count, prime, budget)
+
+    return count_report(counter, edge_count, primes, check_prime)
+
+
 def fixed_q_class(
     poly: MPoly,
     edge_count: int,
@@ -325,13 +377,6 @@ def fixed_q_class(
     check_prime: int | None = None,
     budget: int | None = None,
 ) -> ClassPoly:
-    """Class of a fixed-q complement slice, sampled at odd primes (q0 must
-    avoid 0 and 1 in each field)."""
-    if primes is None:
-        primes = default_primes(edge_count, skip_two=True)
-    return interpolate_class(
-        lambda p: count_fixed_q(poly, q0, edge_count, p, budget),
-        edge_count,
-        primes,
-        check_prime,
-    )
+    """Class of a fixed-q complement slice; see fixed_q_report."""
+    report = fixed_q_report(poly, q0, edge_count, primes, check_prime, budget)
+    return report.interpolated

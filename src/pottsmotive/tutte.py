@@ -6,26 +6,57 @@ and edge-doubling class formulas.
 
 Everything here is exact symbolic arithmetic; the subset-sum and the
 deletion-contraction routes are kept as independent implementations so each
-can serve as the oracle for the other.
+can serve as the oracle for the other.  They share no enumeration code: the
+subset routes walk every edge subset once (`_subsets`), while tutte_delcon
+recurses on subgraphs and never enumerates subsets.  Each route builds its
+terms in one dict and makes one MPoly at the end.  tutte_delcon memoises on
+the subgraph for the length of one top-level call only, so nothing is
+cached between calls.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import InvalidArgumentError, ResourceLimitError
-from .mpoly import MPoly, Q, edge_var
-from .multigraph import EdgeKind, MultiGraph, component_count, connected_in_subset
+from .mpoly import MPoly, Q, var_sort_key
+from .multigraph import EdgeKind, MultiGraph
 
 DEFAULT_EDGE_BUDGET = 20
 
 
-def _subset_term(g: MultiGraph, subset) -> MPoly:
-    k = component_count(g.vertex_count, [(u, v) for _, u, v in subset])
-    term = Q**k
-    for eid, _, _ in subset:
-        term = term * edge_var(eid)
-    return term
+def _ordered_edges(edges) -> tuple:
+    """The edges sorted so that their variables t<id> are in canonical order."""
+    return tuple(sorted(edges, key=lambda e: var_sort_key("t" + e[0])))
+
+
+def _edge_names(edges) -> tuple[str, ...]:
+    return tuple("t" + eid for eid, _, _ in edges)
+
+
+def _subsets(vertex_count: int, edges) -> list[tuple[int, tuple]]:
+    """(k(A), indicator of A) for every subset A of `edges`: k(A) counts the
+    components of the spanning subgraph on all vertex_count vertices, and
+    the indicator is the 0/1 tuple of A over `edges`.
+
+    The walk is depth-first and carries the component labels along, so a
+    subset costs one relabelling instead of a fresh component count.  An
+    edge is left out before it is put in, so the subsets without and with
+    the last edge come in adjacent pairs."""
+    out = []
+
+    def walk(i: int, k: int, labels: tuple, chosen: tuple) -> None:
+        if i == len(edges):
+            out.append((k, chosen))
+            return
+        walk(i + 1, k, labels, chosen + (0,))
+        _, u, v = edges[i]
+        a, b = labels[u], labels[v]
+        if a != b:
+            labels = tuple(a if x == b else x for x in labels)
+            k -= 1
+        walk(i + 1, k, labels, chosen + (1,))
+
+    walk(0, vertex_count, tuple(range(vertex_count)), ())
+    return out
 
 
 def tutte_poly(g: MultiGraph, max_edges: int = DEFAULT_EDGE_BUDGET) -> MPoly:
@@ -35,26 +66,66 @@ def tutte_poly(g: MultiGraph, max_edges: int = DEFAULT_EDGE_BUDGET) -> MPoly:
         raise ResourceLimitError(
             f"{g.edge_count} edges exceeds the enumeration budget of {max_edges}"
         )
-    total = MPoly.zero()
-    for r in range(g.edge_count + 1):
-        for subset in combinations(g.edges, r):
-            total = total + _subset_term(g, subset)
-    return total
+    edges = _ordered_edges(g.edges)
+    terms = {(k,) + chosen: 1 for k, chosen in _subsets(g.vertex_count, edges)}
+    return MPoly(("q",) + _edge_names(edges), terms)
+
+
+def _pivot(g: MultiGraph) -> str:
+    """The first regular edge, or the first edge when none is regular."""
+    for eid, u, v in g.edges:
+        if u != v and g.classify_edge(eid) is EdgeKind.REGULAR:
+            return eid
+    return g.edges[0][0]
+
+
+def _indicators(width: int) -> list[tuple]:
+    """The 0/1 tuple of every mask below 2^width (bit i at position i),
+    indexed by the mask."""
+    table = [()]
+    for _ in range(width):
+        table = [t + (0,) for t in table] + [t + (1,) for t in table]
+    return table
 
 
 def tutte_delcon(g: MultiGraph) -> MPoly:
     """Z_G(q, t) by deletion-contraction, pivoting on the first regular edge
-    when one exists.  Must agree with tutte_poly on every graph."""
-    if g.edge_count == 0:
-        return Q**g.vertex_count
-    pivot = g.edges[0][0]
-    for eid, u, v in g.edges:
-        if u != v and g.classify_edge(eid) is EdgeKind.REGULAR:
-            pivot = eid
-            break
-    return tutte_delcon(g.delete_edge(pivot)) + edge_var(pivot) * tutte_delcon(
-        g.contract_edge(pivot)
-    )
+    when one exists.  Must agree with tutte_poly on every graph.
+
+    The recursion maps each subgraph to its terms {k << E | edge mask: 1},
+    with one mask bit per edge of g, and memoises on the subgraph until
+    this call returns."""
+    edges = _ordered_edges(g.edges)
+    width = len(edges)
+    bit = {eid: 1 << i for i, (eid, _, _) in enumerate(edges)}
+    memo: dict[MultiGraph, dict[int, int]] = {}
+
+    def z(h: MultiGraph) -> dict[int, int]:
+        if h in memo:
+            return memo[h]
+        if h.edge_count == 0:
+            out = {h.vertex_count << width: 1}
+        else:
+            pivot = _pivot(h)
+            b = bit[pivot]
+            # only the contracted side holds the pivot, so no key is shared
+            out = dict(z(h.delete_edge(pivot)))
+            out.update({key | b: c for key, c in z(h.contract_edge(pivot)).items()})
+        memo[h] = out
+        return out
+
+    top = z(g)
+    memo.clear()  # free the subgraphs' terms before the tuples are built
+    # a mask's 0/1 tuple is the join of its two halves' tuples, looked up
+    half = width // 2
+    low, high = _indicators(half), _indicators(width - half)
+    low_mask = (1 << half) - 1
+    high_mask = (1 << width - half) - 1
+    terms = {
+        (key >> width,) + low[key & low_mask] + high[key >> half & high_mask]: c
+        for key, c in top.items()
+    }
+    return MPoly(("q",) + _edge_names(edges), terms)
 
 
 def normalized_tutte(g: MultiGraph) -> MPoly:
@@ -62,38 +133,24 @@ def normalized_tutte(g: MultiGraph) -> MPoly:
     return tutte_delcon(g).divide_exact_by_q_power(g.components())
 
 
-def _all_forests(g: MultiGraph):
-    """All acyclic edge subsets, viewed on the full vertex set."""
+def _forests(g: MultiGraph):
+    """The edges in variable order, and (k(A), indicator of A) for every
+    acyclic edge subset A, viewed on the full vertex set."""
+    edges = _ordered_edges(g.edges)
     nv = g.vertex_count
-    for r in range(g.edge_count + 1):
-        for subset in combinations(g.edges, r):
-            k = component_count(nv, [(u, v) for _, u, v in subset])
-            if k + r == nv:
-                yield subset
-
-
-def _max_forests(g: MultiGraph):
-    """Edge subsets that are maximal spanning forests: acyclic with as many
-    components as the graph itself."""
-    base = g.components()
-    nv = g.vertex_count
-    for r in range(g.edge_count + 1):
-        for subset in combinations(g.edges, r):
-            k = component_count(nv, [(u, v) for _, u, v in subset])
-            if k == base and k + r == nv:
-                yield subset
+    forests = [
+        (k, chosen) for k, chosen in _subsets(nv, edges) if k + sum(chosen) == nv
+    ]
+    return edges, forests
 
 
 def forest_poly(g: MultiGraph) -> MPoly:
     """Sum over maximal spanning forests of the product of the forest's edge
     variables (the q = 0 graph polynomial)."""
-    total = MPoly.zero()
-    for forest in _max_forests(g):
-        term = MPoly.const(1)
-        for eid, _, _ in forest:
-            term = term * edge_var(eid)
-        total = total + term
-    return total
+    edges, forests = _forests(g)
+    base = g.components()
+    terms = {chosen: 1 for k, chosen in forests if k == base}
+    return MPoly(_edge_names(edges), terms)
 
 
 def forest_poly_from_tutte(g: MultiGraph) -> MPoly:
@@ -106,15 +163,10 @@ def forest_poly_from_tutte(g: MultiGraph) -> MPoly:
 def forest_complement_poly(g: MultiGraph) -> MPoly:
     """Sum over maximal spanning forests of the product of the variables of
     the edges outside the forest."""
-    total = MPoly.zero()
-    for forest in _max_forests(g):
-        inside = {eid for eid, _, _ in forest}
-        term = MPoly.const(1)
-        for eid, _, _ in g.edges:
-            if eid not in inside:
-                term = term * edge_var(eid)
-        total = total + term
-    return total
+    edges, forests = _forests(g)
+    base = g.components()
+    terms = {tuple(1 - x for x in chosen): 1 for k, chosen in forests if k == base}
+    return MPoly(_edge_names(edges), terms)
 
 
 def forest_complement_from_dual(g: MultiGraph) -> MPoly:
@@ -140,10 +192,9 @@ def leading_part(g: MultiGraph) -> MPoly:
 def leading_part_by_forests(g: MultiGraph) -> MPoly:
     """Independent route to leading_part: the sum over all spanning forests
     (every acyclic subset contributes degree V, everything else more)."""
-    total = MPoly.zero()
-    for forest in _all_forests(g):
-        total = total + _subset_term(g, forest)
-    return total
+    edges, forests = _forests(g)
+    terms = {(k,) + chosen: 1 for k, chosen in forests}
+    return MPoly(("q",) + _edge_names(edges), terms)
 
 
 def reduced_leading_part(g: MultiGraph) -> MPoly:
@@ -162,18 +213,17 @@ def connecting_split(g: MultiGraph, edge_id: str) -> tuple[MPoly, MPoly]:
     u, v = g.endpoints(edge_id)
     if u == v:
         raise InvalidArgumentError("the connecting split needs a non-loop edge")
-    rest = tuple(e for e in g.edges if e[0] != edge_id)
-    connecting = MPoly.zero()
-    non_connecting = MPoly.zero()
-    for r in range(len(rest) + 1):
-        for subset in combinations(rest, r):
-            term = _subset_term(g, subset)
-            pairs = [(a, b) for _, a, b in subset]
-            if connected_in_subset(g.vertex_count, pairs, u, v):
-                connecting = connecting + term
-            else:
-                non_connecting = non_connecting + term
-    return connecting, non_connecting
+    rest = _ordered_edges(e for e in g.edges if e[0] != edge_id)
+    subsets = _subsets(g.vertex_count, rest + ((edge_id, u, v),))
+    connecting: dict = {}
+    non_connecting: dict = {}
+    # each A in E - {e} comes right before A + {e}; adding e leaves the
+    # component count unchanged exactly when A already connects u and v
+    for (k, chosen), (k_with, _) in zip(subsets[::2], subsets[1::2]):
+        side = connecting if k_with == k else non_connecting
+        side[(k,) + chosen[:-1]] = 1
+    names = ("q",) + _edge_names(rest)
+    return MPoly(names, connecting), MPoly(names, non_connecting)
 
 
 def split_residual_poly(g: MultiGraph, edge_id: str) -> MPoly:

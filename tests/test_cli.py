@@ -187,6 +187,69 @@ def test_count_budget_exit_3(runner, monkeypatch):
     assert result.exit_code == 3
 
 
+def _count(runner, *args):
+    return runner.invoke(cli, ["count", "--family", "polygon", "--m", "2", *args])
+
+
+def test_count_repeated_prime_exit_2(runner):
+    result = _count(runner, "--primes", "3,3,5,7,11")
+    assert result.exit_code == 2
+    assert "repeat" in result.output
+
+
+def test_count_composite_sample_prime_exit_2(runner):
+    result = _count(runner, "--primes", "2,3,4,5,7")
+    assert result.exit_code == 2
+    assert "not primes" in result.output
+
+
+def test_count_composite_check_prime_exit_2(runner):
+    result = _count(runner, "--check", "9")
+    assert result.exit_code == 2
+    assert "not primes" in result.output
+
+
+def test_count_prime_beyond_kernel_range_exit_2(runner):
+    # 2^31 + 11 is prime, but residue products would overflow the kernel
+    result = _count(runner, "--check", "2147483659")
+    assert result.exit_code == 2
+    assert "below 2^31" in result.output
+
+
+def test_count_check_prime_one_exit_2(runner):
+    result = _count(runner, "--check", "1")
+    assert result.exit_code == 2
+
+
+def test_count_check_prime_among_samples_exit_2(runner):
+    result = _count(runner, "--primes", "2,3,5,7,11", "--check", "11")
+    assert result.exit_code == 2
+    assert "also a sample prime" in result.output
+
+
+@pytest.mark.parametrize(
+    "q0",
+    [
+        "0",
+        "1",
+        "4",  # 1 modulo the sample prime 3
+        "53",  # 1 modulo the default check prime 13
+    ],
+)
+def test_count_degenerate_q_exit_2(runner, q0):
+    result = _count(runner, "--q", q0)
+    assert result.exit_code == 2
+    assert "degenerates" in result.output
+
+
+def test_malformed_budget_exit_2(runner, monkeypatch):
+    monkeypatch.setenv("POTTS_BUDGET", "10**30")
+    result = _count(runner)
+    assert result.exit_code == 2
+    assert "POTTS_BUDGET" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_oracle_mismatch_exit_4(runner, monkeypatch):
     import pottsmotive.cli as cli_mod
 

@@ -82,6 +82,26 @@ def test_variable_order_canonical():
     assert p.variables == ("q", "t2", "t10")
 
 
+def test_construction_prunes_and_validates():
+    assert ((Q + T1) - T1).variables == ("q",)
+    assert (Q * T1 - Q * T1).variables == ()
+    p = MPoly(("q", "t1"), {(1, 0): 0, (0, 1): 2})
+    assert p.variables == ("t1",)
+    assert p.terms == {(1,): 2}
+    with pytest.raises(InvalidArgumentError):
+        MPoly(("q", "q"), {(1, 0): 1})
+    with pytest.raises(InvalidArgumentError):
+        MPoly(("q", "t1"), {(1,): 1})
+
+
+def test_variable_order_is_total():
+    # numerically equal names still get one fixed order
+    a = MPoly(("t01", "t1"), {(1, 0): 1, (0, 1): 2})
+    b = MPoly(("t1", "t01"), {(0, 1): 1, (1, 0): 2})
+    assert a == b
+    assert str(a) == str(b)
+
+
 def test_degrees():
     p = Q**2 * T1 + T1 * T2
     assert p.total_degree() == 3
@@ -139,3 +159,38 @@ def test_eval_mod_is_homomorphism(a, b, prime, data):
     assert (a * b).eval_mod(point, prime) == (
         a.eval_mod(point, prime) * b.eval_mod(point, prime)
     ) % prime
+
+
+@given(polys(), st.permutations(range(3)))
+@settings(max_examples=100, deadline=None)
+def test_variable_order_of_input_is_irrelevant(p, perm):
+    names = tuple(p.variables)
+    full = ("q", "t1", "t2")
+    dense = {
+        tuple(dict(zip(names, e)).get(n, 0) for n in full): c
+        for e, c in p.terms.items()
+    }
+    shuffled = MPoly(
+        tuple(full[i] for i in perm),
+        {tuple(e[i] for i in perm): c for e, c in dense.items()},
+    )
+    canonical = MPoly(full, dense)
+    assert shuffled == canonical == p
+    assert hash(shuffled) == hash(canonical)
+    assert shuffled.variables == canonical.variables
+
+
+def _substitute_by_terms(p, name, value):
+    # one monomial at a time, the way substitution is defined
+    out = MPoly.zero()
+    for exps, c in p.terms.items():
+        powers = dict(zip(p.variables, exps))
+        e = powers.pop(name, 0)
+        out = out + MPoly.monomial(powers, c) * value**e
+    return out
+
+
+@given(polys(), polys(), names)
+@settings(max_examples=100, deadline=None)
+def test_substitute_matches_termwise_definition(p, value, name):
+    assert p.substitute(name, value) == _substitute_by_terms(p, name, value)

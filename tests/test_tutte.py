@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pottsmotive import tutte
 from pottsmotive.errors import InvalidArgumentError, ResourceLimitError
 from pottsmotive.mpoly import MPoly, Q, edge_var
 from pottsmotive.multigraph import MultiGraph, banana, polygon
@@ -193,3 +196,65 @@ def test_doubling_residual_matches_split(triangle, square, two_banana):
             assert doubling_residual_poly(g, eid) == (
                 Q - 1
             ) * zn.divide_exact_by_q_power(1)
+
+
+# ids deliberately out of canonical variable order, with the suffixes that
+# splitting and doubling produce
+EDGE_IDS = ["10", "2", "1.1", "7", "1", "3p1", "12", "x"]
+
+
+@st.composite
+def multigraphs(draw):
+    """Multigraphs with up to 8 edges; loops, parallel edges and isolated
+    vertices all occur."""
+    vertices = draw(st.integers(min_value=1, max_value=5))
+    ids = draw(st.permutations(EDGE_IDS))[: draw(st.integers(0, len(EDGE_IDS)))]
+    vertex = st.integers(min_value=0, max_value=vertices - 1)
+    ends = draw(
+        st.lists(st.tuples(vertex, vertex), min_size=len(ids), max_size=len(ids))
+    )
+    return MultiGraph(vertices, tuple((eid, u, v) for eid, (u, v) in zip(ids, ends)))
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_routes_agree_on_random_multigraphs(g, data):
+    z = tutte_poly(g)
+    assert z == tutte_delcon(g) == _delcon_last_edge(g)
+    assert len(z.terms) == 2**g.edge_count
+    assert forest_poly(g) == forest_poly_from_tutte(g)
+    assert forest_complement_poly(g) == forest_complement_from_dual(g)
+    assert leading_part_by_forests(g) == leading_part(g)
+    links = [eid for eid, u, v in g.edges if u != v]
+    if links:
+        eid = data.draw(st.sampled_from(links))
+        zc, zn = connecting_split(g, eid)
+        assert tutte_delcon(g.delete_edge(eid)) == zc + zn
+        assert Q * tutte_delcon(g.contract_edge(eid)) == Q * zc + zn
+
+
+def test_delcon_memo_does_not_leak_between_calls():
+    first = MultiGraph(3, (("1", 0, 1), ("2", 1, 2), ("3", 2, 0), ("4", 0, 1)))
+    second = MultiGraph(3, (("a", 0, 1), ("b", 1, 2), ("c", 2, 0), ("d", 0, 1)))
+    z_first = tutte_delcon(first)
+    z_second = tutte_delcon(second)
+    assert z_first.variables == ("q", "t1", "t2", "t3", "t4")
+    assert z_second.variables == ("q", "ta", "tb", "tc", "td")
+    assert z_first == tutte_poly(first)
+    assert z_second == tutte_poly(second)
+    assert tutte_delcon(first) == z_first
+
+
+def test_routes_stay_independent(monkeypatch, triangle):
+    def forbidden(*args):
+        raise AssertionError("the other route was called")
+
+    monkeypatch.setattr(tutte, "tutte_delcon", forbidden)
+    tutte_poly(triangle)
+    forest_poly(triangle)
+    forest_complement_poly(triangle)
+    leading_part_by_forests(triangle)
+    connecting_split(triangle, "1")
+    monkeypatch.undo()
+    monkeypatch.setattr(tutte, "_subsets", forbidden)
+    tutte_delcon(triangle)
