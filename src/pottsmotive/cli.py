@@ -79,6 +79,11 @@ def _input_graph(file, family, m, k, n) -> MultiGraph:
         if m is None:
             raise click.UsageError("--family needs --m")
         g = _family_graph(family, m, k, n)
+    return _within_edge_budget(g)
+
+
+def _within_edge_budget(g: MultiGraph) -> MultiGraph:
+    """The graph itself, if its polynomials may be built symbolically."""
     if g.edge_count > tutte.DEFAULT_EDGE_BUDGET:
         raise ResourceLimitError(
             f"{g.edge_count} edges exceeds the symbolic budget of "
@@ -104,6 +109,8 @@ def _parse_grid(text: str, minimum: int = 0) -> list[int]:
             values = [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise click.UsageError(f"malformed grid {text!r}") from exc
+    if not values:
+        raise click.UsageError(f"grid {text!r} is empty")
     if any(v < minimum for v in values):
         raise click.UsageError(f"grid {text!r} goes below {minimum}")
     return values
@@ -161,7 +168,7 @@ def _family_class(family, m, k, n, fixed_q):
 
 
 def _oracle_class(graph: MultiGraph, fixed_q: bool):
-    z = tutte.tutte_delcon(graph)
+    z = tutte.tutte_delcon(_within_edge_budget(graph))
     if fixed_q:
         return pointcount.fixed_q_class(z, graph.edge_count)
     return pointcount.complement_class(z, graph.edge_count + 1)
@@ -215,7 +222,9 @@ def cmd_cone(family, m, oracle):
         "rendering": cls.render(),
     }
     if oracle:
-        counted = tangentcone.v_class(_family_graph(family, m, 0, 1))
+        counted = tangentcone.v_class(
+            _within_edge_budget(_family_graph(family, m, 0, 1))
+        )
         if counted != cls:
             raise NotPolynomialCountError(
                 f"closed form {cls} disagrees with counted class {counted}"
@@ -250,12 +259,10 @@ def cmd_chi(family, m_grid, k_grid, n_grid, fmt):
         if family == "chain-polygon"
         else motivic.chain_banana_chi_table_row
     )
-    rows = [
-        row_fn(FamilySpec(m, k, n))
-        for m in _parse_grid(m_grid)
-        for k in _parse_grid(k_grid)
-        for n in _parse_grid(n_grid, minimum=1)
-    ]
+    ms = _parse_grid(m_grid)
+    ks = _parse_grid(k_grid)
+    ns = _parse_grid(n_grid, minimum=1)
+    rows = [row_fn(FamilySpec(m, k, n)) for m in ms for k in ks for n in ns]
     if fmt == "json":
         click.echo(json.dumps({"family": family, "rows": rows}))
         return

@@ -110,6 +110,7 @@ def count_zero_locus(
     budget: int | None = None,
 ) -> int:
     """Points of F_p^ambient_dim where every polynomial vanishes."""
+    _check_primes((prime,))
     _check_budget(prime, ambient_dim, budget)
     constraints = [p for p in polys if not p.is_zero]
     if not constraints:
@@ -127,8 +128,6 @@ def count_complement(
     poly: MPoly, ambient_dim: int, prime: int, budget: int | None = None
 ) -> int:
     """Points of F_p^ambient_dim where the polynomial is nonzero."""
-    if poly.is_zero:
-        return 0
     return prime**ambient_dim - count_zero_locus([poly], ambient_dim, prime, budget)
 
 
@@ -204,6 +203,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_primes(primes: Iterable[int]) -> None:
+    """Refuse anything but primes the kernels can count over: their closed
+    forms need a field, and the compiled kernel needs residues below 2^31."""
+    bad = [p for p in primes if not (p < MAX_PRIME and _is_prime(p))]
+    if bad:
+        raise InvalidArgumentError(f"{bad} are not primes below 2^31")
+
+
 def default_primes(ambient_dim: int, *, skip_two: bool = False) -> tuple[int, ...]:
     ladder = [p for p in PRIME_LADDER if not (skip_two and p == 2)]
     if ambient_dim + 1 > len(ladder):
@@ -263,9 +270,7 @@ def count_report(
         raise InvalidArgumentError(f"sample primes {primes} repeat a prime")
     if check_prime in primes:
         raise InvalidArgumentError(f"check prime {check_prime} is also a sample prime")
-    bad = [p for p in primes + (check_prime,) if not (p < MAX_PRIME and _is_prime(p))]
-    if bad:
-        raise InvalidArgumentError(f"{bad} are not primes below 2^31")
+    _check_primes(primes + (check_prime,))
     nominal = sum(p**ambient_dim for p in primes) + check_prime**ambient_dim
     cap = _budget(None)
     if nominal > cap:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import grothendieck as gr
 from . import motivic, pointcount, tangentcone, tutte
 from .classpoly import T
-from .errors import PottsError
+from .errors import InvalidArgumentError, PottsError
 from .mpoly import MPoly, Q, edge_var
 from .multigraph import (
     EdgeKind,
@@ -633,6 +633,10 @@ SUITES = {
 
 
 def run_suite(name: str, max_dim: int = 5) -> list[dict]:
+    # below 1 every oracle check would be skipped and the suite would pass
+    # without having counted anything
+    if max_dim < 1:
+        raise InvalidArgumentError(f"max_dim must be at least 1, got {max_dim}")
     if name == "all":
         out = []
         for key in SUITES:

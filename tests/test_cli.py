@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pottsmotive.cli import cli
 
@@ -181,6 +183,20 @@ def test_z_edge_budget_exit_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["class", "--family", "polygon", "--m", "40", "--oracle"],
+        ["class", "--family", "banana", "--m", "40", "--fixed-q", "--oracle"],
+        ["cone", "--family", "banana", "--m", "40", "--oracle"],
+    ],
+)
+def test_oracle_edge_budget_exit_3(runner, args):
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 3
+    assert "symbolic budget" in result.output
+
+
 def test_count_budget_exit_3(runner, monkeypatch):
     monkeypatch.setenv("POTTS_BUDGET", "100")
     result = runner.invoke(cli, ["count", "--family", "polygon", "--m", "2"])
@@ -285,6 +301,13 @@ def test_verify_suite_green(runner):
     assert doc["passed"] > 0
 
 
+@pytest.mark.parametrize("max_dim", ["0", "-1"])
+def test_verify_max_dim_below_one_exit_2(runner, max_dim):
+    result = runner.invoke(cli, ["verify", "--suite", "oracle", "--max-dim", max_dim])
+    assert result.exit_code == 2
+    assert "max_dim must be at least 1" in result.output
+
+
 def test_verify_failure_exit_1(runner, monkeypatch):
     from pottsmotive import verify as verify_mod
 
@@ -296,3 +319,79 @@ def test_verify_failure_exit_1(runner, monkeypatch):
     assert result.exit_code == 1
     doc = json.loads(result.output)
     assert doc["failed"] == 1
+
+
+@pytest.mark.parametrize("grids", [("2..1", "0"), ("2..1", "x"), ("0", "x")])
+def test_chi_empty_or_malformed_grid_exit_2(runner, grids):
+    m, k = grids
+    result = runner.invoke(cli, ["chi", "--family", "chain-banana", "--m", m, "--k", k])
+    assert result.exit_code == 2
+
+
+# Sizes reach past the counting budget (ambient dimension 6) and the prime
+# ladder, but every graph stays at 15 edges or fewer, so each draw is fast.
+_SMALL = st.integers(min_value=-2, max_value=6).map(str)
+_FAMILY = st.sampled_from(["polygon", "banana", "chain-polygon", "chain-banana"])
+_FLAGS = st.lists(st.sampled_from(["--fixed-q", "--oracle"]), unique=True)
+_GRID = st.one_of(
+    _SMALL,
+    st.tuples(_SMALL, _SMALL).map("..".join),
+    st.sampled_from(["x", "1,", "1..", "1,3", ""]),
+)
+
+
+def _family_args(family, m, k, n):
+    return ["--family", family, "--m", m, "--k", k, "--N", n]
+
+
+_COMMANDS = st.one_of(
+    st.builds(
+        lambda fam, m, k, n, flags: ["class", *_family_args(fam, m, k, n), *flags],
+        _FAMILY,
+        _SMALL,
+        st.sampled_from(["-1", "0", "1"]),
+        st.sampled_from(["-1", "0", "1", "2"]),
+        _FLAGS,
+    ),
+    st.builds(
+        lambda fam, m, k, n, extra: ["count", *_family_args(fam, m, k, n), *extra],
+        _FAMILY,
+        _SMALL,
+        st.sampled_from(["0", "1"]),
+        st.sampled_from(["0", "1", "2"]),
+        st.one_of(
+            st.just([]),
+            st.tuples(st.just("--q"), _SMALL).map(list),
+            st.tuples(st.just("--check"), _SMALL).map(list),
+            st.tuples(
+                st.just("--primes"),
+                st.sampled_from(["2,3", "4,5", "x", "3,5,7,11,13,17,19,23"]),
+            ).map(list),
+        ),
+    ),
+    st.builds(
+        lambda fam, m, flags: ["cone", "--family", fam, "--m", m, *flags],
+        st.sampled_from(["polygon", "banana"]),
+        _SMALL,
+        st.lists(st.just("--oracle"), max_size=1),
+    ),
+    st.builds(
+        lambda fam, m, k, n, fmt: [
+            "chi", "--family", fam, "--m", m, "--k", k, "--N", n, "--format", fmt
+        ],
+        st.sampled_from(["chain-polygon", "chain-banana"]),
+        _GRID,
+        _GRID,
+        _GRID,
+        st.sampled_from(["csv", "json"]),
+    ),
+)
+
+
+@given(_COMMANDS)
+@settings(max_examples=100, deadline=None)
+def test_cli_exit_codes_are_documented(args):
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code in (0, 2, 3, 4), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output

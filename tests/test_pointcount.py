@@ -96,6 +96,17 @@ def test_budget_env(monkeypatch):
         count_complement(LOOP_Z, 2, 3)
 
 
+@pytest.mark.parametrize("modulus", [4, 9, 1, 0, -3, 2**31 + 11])
+def test_non_prime_modulus_rejected(modulus):
+    # 2^31 + 11 is prime but beyond the compiled kernel's residue range
+    with pytest.raises(InvalidArgumentError, match="not primes below 2"):
+        count_complement(LOOP_Z, 2, modulus)
+    with pytest.raises(InvalidArgumentError, match="not primes below 2"):
+        count_zero_locus([LOOP_Z, T1], 2, modulus)
+    with pytest.raises(InvalidArgumentError, match="not primes below 2"):
+        count_complement(MPoly.zero(), 2, modulus)
+
+
 def test_too_many_variables_rejected():
     with pytest.raises(InvalidArgumentError):
         count_zero_locus([Q * T1 * T2], 2, 3)
