@@ -69,7 +69,6 @@ from .pointcount import (
     fixed_q_report,
     interpolate_class,
     kernel_backend,
-    locus_class,
     locus_complement_class,
 )
 from .tutte import (

@@ -167,11 +167,22 @@ def _family_class(family, m, k, n, fixed_q):
     return gr.chain_banana_class_fixed_q(spec)
 
 
+def _oracle_dim(g: MultiGraph, fixed_q: bool, primes=None, check_prime=None) -> int:
+    """Ambient dimension of the oracle count for a graph, refused by the
+    symbolic budget or by the count report's checks before any of the
+    graph's polynomials is built."""
+    _within_edge_budget(g)
+    dim = g.edge_count if fixed_q else g.edge_count + 1
+    pointcount.sample_plan(dim, primes, check_prime, skip_two=fixed_q)
+    return dim
+
+
 def _oracle_class(graph: MultiGraph, fixed_q: bool):
-    z = tutte.tutte_delcon(_within_edge_budget(graph))
+    dim = _oracle_dim(graph, fixed_q)
+    z = tutte.tutte_delcon(graph)
     if fixed_q:
-        return pointcount.fixed_q_class(z, graph.edge_count)
-    return pointcount.complement_class(z, graph.edge_count + 1)
+        return pointcount.fixed_q_class(z, dim)
+    return pointcount.complement_class(z, dim)
 
 
 @cli.command("class")
@@ -222,9 +233,9 @@ def cmd_cone(family, m, oracle):
         "rendering": cls.render(),
     }
     if oracle:
-        counted = tangentcone.v_class(
-            _within_edge_budget(_family_graph(family, m, 0, 1))
-        )
+        g = _family_graph(family, m, 0, 1)
+        _oracle_dim(g, fixed_q=False)
+        counted = tangentcone.v_class(g)
         if counted != cls:
             raise NotPolynomialCountError(
                 f"closed form {cls} disagrees with counted class {counted}"
@@ -287,10 +298,10 @@ def cmd_chi(family, m_grid, k_grid, n_grid, fmt):
 def cmd_count(file, family, m, k, n, primes, check_prime, q0):
     """Count complement points over sample primes and interpolate the class."""
     g = _input_graph(file, family, m, k, n)
-    z = tutte.tutte_delcon(g)
     sample_primes = _parse_primes(primes) if primes else None
+    dim = _oracle_dim(g, q0 is not None, sample_primes, check_prime)
+    z = tutte.tutte_delcon(g)
     if q0 is None:
-        dim = g.edge_count + 1
         report = pointcount.count_report(
             lambda p: pointcount.count_complement(z, dim, p),
             dim,
@@ -298,9 +309,7 @@ def cmd_count(file, family, m, k, n, primes, check_prime, q0):
             check_prime,
         )
     else:
-        report = pointcount.fixed_q_report(
-            z, q0, g.edge_count, sample_primes, check_prime
-        )
+        report = pointcount.fixed_q_report(z, q0, dim, sample_primes, check_prime)
     click.echo(json.dumps(report.to_json()))
 
 

@@ -14,19 +14,17 @@ take counting parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
+from typing import Sequence
 
-from .classpoly import ONE, T, ClassPoly, RationalClass
+from .classpoly import T, ClassPoly, RationalClass
 from .errors import InvalidArgumentError
 from .multigraph import FamilySpec, MultiGraph
 from .pointcount import complement_class, locus_complement_class
 from .tutte import tutte_delcon
 
 _L = T + 1
-_SIGN = (ONE, ClassPoly.const(-1))
-
-
-def _neg_one_pow(m: int) -> ClassPoly:
-    return _SIGN[m & 1]
 
 
 @dataclass(frozen=True)
@@ -78,21 +76,37 @@ def residual_class_from_seeds(seeds: SplitSeeds, z_delete: ClassPoly) -> ClassPo
 # -- linear recurrences and closed forms -------------------------------------------
 
 
+def linear_recurrence(
+    coeffs: Sequence[ClassPoly], seeds: Sequence[ClassPoly], m: int
+) -> ClassPoly:
+    """m-th term of the recurrence x[n+k] = c[0]x[n] + ... + c[k-1]x[n+k-1]
+    with coeffs (c[0], ..., c[k-1]) and first terms seeds (x[0], ..., x[k-1])."""
+    if m < 0:
+        raise InvalidArgumentError("negative recurrence index")
+    window = list(seeds)
+    if m < len(window):
+        return window[m]
+    for _ in range(m - len(window) + 1):
+        window = window[1:] + [reduce(add, map(mul, coeffs, window))]
+    return window[-1]
+
+
+_SPLIT_COEFFS = (-(T * (T - 1)), -(T * T - 3 * T + 1), 2 * T - 2)
+
+
 def split_recursion(seeds: SplitSeeds, m: int) -> ClassPoly:
     """m-th class of the splitting family by the order-3 recurrence
     x[m+3] = (2T-2)x[m+2] - (T^2-3T+1)x[m+1] - T(T-1)x[m]."""
-    if m < 0:
-        raise InvalidArgumentError("negative splitting index")
-    window = [seeds.s0, seeds.s1, seeds.s2]
-    if m < 3:
-        return window[m]
-    c2 = 2 * T - 2
-    c1 = -(T * T - 3 * T + 1)
-    c0 = -(T * (T - 1))
-    for _ in range(m - 2):
-        window.append(c2 * window[-1] + c1 * window[-2] + c0 * window[-3])
-        window.pop(0)
-    return window[-1]
+    return linear_recurrence(_SPLIT_COEFFS, (seeds.s0, seeds.s1, seeds.s2), m)
+
+
+def _split_numerators(seeds: SplitSeeds) -> tuple[ClassPoly, ClassPoly, ClassPoly]:
+    """Numerators of (A, B, C) over the denominators (T(T+1), T+1, T)."""
+    s0, s1, s2 = seeds.s0, seeds.s1, seeds.s2
+    a_num = s0 * T * (T + 1) + (s2 + s1) * (T + 1) - (s2 + 3 * s1 + 2 * s0) * T
+    b_num = -(s1 + s0) * (T + 1) + (s2 + 3 * s1 + 2 * s0)
+    c_num = (s1 + s0) * T - (s2 + s1)
+    return a_num, b_num, c_num
 
 
 def split_closed_form(
@@ -102,13 +116,9 @@ def split_closed_form(
     term(m) = A(-1)^m + B T^m + C (T-1)^m of the splitting recurrence.
     They are exact ratios; for some seed triples (e.g. polygons) A and C are
     genuinely non-polynomial even though every term(m) is a class."""
-    s0, s1, s2 = seeds.s0, seeds.s1, seeds.s2
-    t_tp1 = T * (T + 1)
-    a_num = s0 * t_tp1 + (s2 + s1) * (T + 1) - (s2 + 3 * s1 + 2 * s0) * T
-    b_num = -(s1 + s0) * (T + 1) + (s2 + 3 * s1 + 2 * s0)
-    c_num = (s1 + s0) * T - (s2 + s1)
+    a_num, b_num, c_num = _split_numerators(seeds)
     return (
-        RationalClass(a_num, t_tp1),
+        RationalClass(a_num, T * (T + 1)),
         RationalClass(b_num, T + 1),
         RationalClass(c_num, T),
     )
@@ -119,12 +129,9 @@ def split_closed_term(seeds: SplitSeeds, m: int) -> ClassPoly:
     denominator T(T+1) divides out for every m)."""
     if m < 0:
         raise InvalidArgumentError("negative splitting index")
-    s0, s1, s2 = seeds.s0, seeds.s1, seeds.s2
-    a_num = s0 * T * (T + 1) + (s2 + s1) * (T + 1) - (s2 + 3 * s1 + 2 * s0) * T
-    b_num = -(s1 + s0) * (T + 1) + (s2 + 3 * s1 + 2 * s0)
-    c_num = (s1 + s0) * T - (s2 + s1)
+    a_num, b_num, c_num = _split_numerators(seeds)
     num = (
-        a_num * _neg_one_pow(m)
+        a_num * (-1) ** m
         + b_num * ClassPoly.monomial(m + 1)
         + c_num * (T + 1) * (T - 1) ** m
     )
@@ -151,7 +158,7 @@ def polygon_class(m: int) -> ClassPoly:
         raise InvalidArgumentError("negative polygon index")
     head = ClassPoly.monomial(m + 2)
     mid = T * (T - 1) * (ClassPoly.monomial(m) - (T - 1) ** m)
-    tail = (T - 1) * ((T - 1) ** m - _neg_one_pow(m)).divexact(T)
+    tail = (T - 1) * ((T - 1) ** m - (-1) ** m).divexact(T)
     return head + mid + tail
 
 
@@ -162,7 +169,7 @@ def polygon_class_fixed_q(m: int) -> ClassPoly:
         raise InvalidArgumentError("negative polygon index")
     head = ClassPoly.monomial(m + 1)
     mid = T * (ClassPoly.monomial(m) - (T - 1) ** m)
-    tail = ((T - 1) ** m - _neg_one_pow(m)).divexact(T)
+    tail = ((T - 1) ** m - (-1) ** m).divexact(T)
     return head + mid + tail
 
 
@@ -238,49 +245,19 @@ def join_transform(z: ClassPoly, kind: str) -> ClassPoly:
     raise InvalidArgumentError(f"unknown join kind {kind!r}")
 
 
-def delcon_identity_check(
-    g: MultiGraph,
-    edge_id: str,
-    primes=None,
-    check_prime=None,
-    budget=None,
-) -> bool:
+def delcon_identity_check(g: MultiGraph, edge_id: str) -> bool:
     """Oracle check of the class-level deletion-contraction identity
     {Z_G} = L * {Z_{G/e} and Z_{G-e} intersection} - {Z_{G/e}}, with the
     intersection complement taken one dimension lower."""
     dim = g.edge_count
-    z_g = complement_class(
-        tutte_delcon(g), dim + 1, primes=primes, check_prime=check_prime, budget=budget
-    )
-    z_con = complement_class(
-        tutte_delcon(g.contract_edge(edge_id)),
-        dim,
-        primes=primes,
-        check_prime=check_prime,
-        budget=budget,
-    )
+    z_g = complement_class(tutte_delcon(g), dim + 1)
+    z_con = tutte_delcon(g.contract_edge(edge_id))
     inter = locus_complement_class(
-        [
-            tutte_delcon(g.delete_edge(edge_id)),
-            tutte_delcon(g.contract_edge(edge_id)),
-        ],
-        dim,
-        primes=primes,
-        check_prime=check_prime,
-        budget=budget,
+        [tutte_delcon(g.delete_edge(edge_id)), z_con], dim
     )
-    return z_g == _L * inter - z_con
+    return z_g == _L * inter - complement_class(z_con, dim)
 
 
-def graph_class(
-    g: MultiGraph, primes=None, check_prime=None, budget=None
-) -> ClassPoly:
+def graph_class(g: MultiGraph) -> ClassPoly:
     """Oracle class {Z_G} of a graph's hypersurface complement."""
-    return complement_class(
-        tutte_delcon(g),
-        g.edge_count + 1,
-        primes=primes,
-        check_prime=check_prime,
-        budget=budget,
-    )
-
+    return complement_class(tutte_delcon(g), g.edge_count + 1)

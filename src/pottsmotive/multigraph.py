@@ -108,7 +108,8 @@ class MultiGraph:
         u, v = self.endpoints(edge_id)
         if u == v:
             return EdgeKind.LOOP
-        if self.delete_edge(edge_id).components() > self.components():
+        rest = [(a, b) for eid, a, b in self.edges if eid != edge_id]
+        if component_count(self.vertex_count, rest) > self.components():
             return EdgeKind.BRIDGE
         return EdgeKind.REGULAR
 

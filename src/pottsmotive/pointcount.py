@@ -1,9 +1,10 @@
 """Finite-field point counting and exact interpolation of Grothendieck
 classes.
 
-Counting is brute force over F_p^d (with aggressive specialization, see the
-kernel modules) and therefore entirely independent of every class formula in
-the package; it is the verification oracle.  For a variety whose class is a
+Counting specializes one variable at a time over F_p and finishes the last
+few variables in closed form (root counts of affine and quadratic forms, see
+the kernel modules); it consults no class formula of the package and is
+therefore the verification oracle.  For a variety whose class is a
 polynomial in the torus class T, the number of F_p points equals that
 polynomial at T = p - 1, so exact Lagrange interpolation through counts at
 enough primes recovers the class, and a reserved check prime plus an
@@ -52,9 +53,7 @@ def _kernel():
     return _countpure if kernel_backend() == "pure" else _countcore
 
 
-def _budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
+def _budget() -> int:
     raw = os.environ.get("POTTS_BUDGET")
     if not raw:
         return DEFAULT_BUDGET
@@ -66,8 +65,8 @@ def _budget(budget: int | None) -> int:
         ) from None
 
 
-def _check_budget(prime: int, ambient_dim: int, budget: int | None) -> None:
-    cap = _budget(budget)
+def _check_budget(prime: int, ambient_dim: int) -> None:
+    cap = _budget()
     if prime**ambient_dim > cap:
         raise ResourceLimitError(
             f"{prime}^{ambient_dim} points exceeds the budget of {cap}"
@@ -107,11 +106,10 @@ def count_zero_locus(
     polys: Sequence[MPoly],
     ambient_dim: int,
     prime: int,
-    budget: int | None = None,
 ) -> int:
     """Points of F_p^ambient_dim where every polynomial vanishes."""
     _check_primes((prime,))
-    _check_budget(prime, ambient_dim, budget)
+    _check_budget(prime, ambient_dim)
     constraints = [p for p in polys if not p.is_zero]
     if not constraints:
         return prime**ambient_dim
@@ -124,24 +122,14 @@ def count_zero_locus(
     return zeros * prime ** (ambient_dim - len(names))
 
 
-def count_complement(
-    poly: MPoly, ambient_dim: int, prime: int, budget: int | None = None
-) -> int:
+def count_complement(poly: MPoly, ambient_dim: int, prime: int) -> int:
     """Points of F_p^ambient_dim where the polynomial is nonzero."""
-    return prime**ambient_dim - count_zero_locus([poly], ambient_dim, prime, budget)
+    return prime**ambient_dim - count_zero_locus([poly], ambient_dim, prime)
 
 
-def count_fixed_q(
-    poly: MPoly,
-    q0: int,
-    ambient_dim: int,
-    prime: int,
-    budget: int | None = None,
-) -> int:
+def count_fixed_q(poly: MPoly, q0: int, ambient_dim: int, prime: int) -> int:
     """Points of the fixed-q slice (t-space only) where poly(q0, t) != 0."""
-    return count_complement(
-        poly.substitute("q", q0 % prime), ambient_dim, prime, budget
-    )
+    return count_complement(poly.substitute("q", q0 % prime), ambient_dim, prime)
 
 
 # -- interpolation -------------------------------------------------------------
@@ -249,16 +237,20 @@ class CountReport:
         }
 
 
-def count_report(
-    counter: Callable[[int], int],
+def sample_plan(
     ambient_dim: int,
     primes: Sequence[int] | None = None,
     check_prime: int | None = None,
-) -> CountReport:
-    """Run the counter over the sample primes, interpolate, and verify at the
-    check prime; raises NotPolynomialCountError on any inconsistency."""
+    *,
+    skip_two: bool = False,
+) -> tuple[tuple[int, ...], int]:
+    """The sample primes and check prime of a count report, refused before
+    anything is counted: too few or repeated primes, a check prime among the
+    samples, a non-prime, a dimension beyond the prime ladder, or a nominal
+    enumeration over POTTS_BUDGET.  Callers that must first build the
+    polynomial to count call this before building it."""
     if primes is None:
-        primes = default_primes(ambient_dim)
+        primes = default_primes(ambient_dim, skip_two=skip_two)
     primes = tuple(primes)
     if len(primes) < ambient_dim + 1:
         raise InvalidArgumentError(
@@ -272,11 +264,23 @@ def count_report(
         raise InvalidArgumentError(f"check prime {check_prime} is also a sample prime")
     _check_primes(primes + (check_prime,))
     nominal = sum(p**ambient_dim for p in primes) + check_prime**ambient_dim
-    cap = _budget(None)
+    cap = _budget()
     if nominal > cap:
         raise ResourceLimitError(
             f"report would enumerate {nominal} nominal points, over the budget of {cap}"
         )
+    return primes, check_prime
+
+
+def count_report(
+    counter: Callable[[int], int],
+    ambient_dim: int,
+    primes: Sequence[int] | None = None,
+    check_prime: int | None = None,
+) -> CountReport:
+    """Run the counter over the sample primes, interpolate, and verify at the
+    check prime; raises NotPolynomialCountError on any inconsistency."""
+    primes, check_prime = sample_plan(ambient_dim, primes, check_prime)
     samples = tuple((p, counter(p)) for p in primes)
     cls = _class_from_samples(samples, ambient_dim)
     predicted = cls.eval_int(check_prime - 1)
@@ -301,51 +305,18 @@ def interpolate_class(
 # -- class-level helpers --------------------------------------------------------
 
 
-def complement_class(
-    poly: MPoly,
-    ambient_dim: int,
-    primes: Sequence[int] | None = None,
-    check_prime: int | None = None,
-    budget: int | None = None,
-) -> ClassPoly:
+def complement_class(poly: MPoly, ambient_dim: int) -> ClassPoly:
     """{X}: class of the complement of {poly = 0} in affine ambient space."""
     return interpolate_class(
-        lambda p: count_complement(poly, ambient_dim, p, budget),
-        ambient_dim,
-        primes,
-        check_prime,
+        lambda p: count_complement(poly, ambient_dim, p), ambient_dim
     )
 
 
-def locus_class(
-    polys: Sequence[MPoly],
-    ambient_dim: int,
-    primes: Sequence[int] | None = None,
-    check_prime: int | None = None,
-    budget: int | None = None,
-) -> ClassPoly:
-    """[X]: class of the common zero locus itself."""
-    return interpolate_class(
-        lambda p: count_zero_locus(polys, ambient_dim, p, budget),
-        ambient_dim,
-        primes,
-        check_prime,
-    )
-
-
-def locus_complement_class(
-    polys: Sequence[MPoly],
-    ambient_dim: int,
-    primes: Sequence[int] | None = None,
-    check_prime: int | None = None,
-    budget: int | None = None,
-) -> ClassPoly:
+def locus_complement_class(polys: Sequence[MPoly], ambient_dim: int) -> ClassPoly:
     """{X} for the common zero locus of several polynomials."""
     return interpolate_class(
-        lambda p: p**ambient_dim - count_zero_locus(polys, ambient_dim, p, budget),
+        lambda p: p**ambient_dim - count_zero_locus(polys, ambient_dim, p),
         ambient_dim,
-        primes,
-        check_prime,
     )
 
 
@@ -355,7 +326,6 @@ def fixed_q_report(
     edge_count: int,
     primes: Sequence[int] | None = None,
     check_prime: int | None = None,
-    budget: int | None = None,
 ) -> CountReport:
     """count_report of a fixed-q complement slice, sampled at odd primes by
     default.  q0 must avoid 0 and 1 in every field counted: there the slice
@@ -369,19 +339,11 @@ def fixed_q_report(
                 f"q = {q0} is {q0 % prime} modulo {prime}; "
                 "the fixed-q slice degenerates"
             )
-        return count_fixed_q(poly, q0, edge_count, prime, budget)
+        return count_fixed_q(poly, q0, edge_count, prime)
 
     return count_report(counter, edge_count, primes, check_prime)
 
 
-def fixed_q_class(
-    poly: MPoly,
-    edge_count: int,
-    q0: int = 2,
-    primes: Sequence[int] | None = None,
-    check_prime: int | None = None,
-    budget: int | None = None,
-) -> ClassPoly:
-    """Class of a fixed-q complement slice; see fixed_q_report."""
-    report = fixed_q_report(poly, q0, edge_count, primes, check_prime, budget)
-    return report.interpolated
+def fixed_q_class(poly: MPoly, edge_count: int) -> ClassPoly:
+    """Class of the fixed-q complement slice at q = 2; see fixed_q_report."""
+    return fixed_q_report(poly, 2, edge_count).interpolated

@@ -2,8 +2,10 @@
 hypersurface: the cone's defining polynomials, the complement classes of the
 cone and of its two pieces (the q-reduced component and its q = 0 slice),
 the bridge/loop and parallel-edge multipliers, the splitting identity for a
-regular edge, and the order-3 recurrences with their exponential closed
-forms.
+regular edge, and the order-3 recurrence of the q = 0 slice with its
+exponential closed form.  The cone classes of a splitting family obey the
+full-class splitting recurrence, so grothendieck's split_recursion,
+split_closed_form and split_closed_term serve them unchanged.
 
 Ambient conventions, fixed throughout: the cone and its q-reduced component
 live in dimension edges + 1; the q = 0 slice lives in dimension edges.
@@ -11,15 +13,13 @@ live in dimension edges + 1; the q = 0 slice lives in dimension edges.
 
 from __future__ import annotations
 
-from .classpoly import ONE, T, ClassPoly, RationalClass
+from .classpoly import T, ClassPoly, RationalClass
 from .errors import InvalidArgumentError
-from .grothendieck import SplitSeeds, split_closed_form, split_closed_term
+from .grothendieck import SplitSeeds, linear_recurrence
 from .mpoly import MPoly, Q
 from .multigraph import EdgeKind, MultiGraph
 from .pointcount import complement_class, locus_complement_class
 from .tutte import forest_poly, leading_part, reduced_leading_part
-
-_SIGN = (ONE, ClassPoly.const(-1))
 
 
 def cone_polys(g: MultiGraph) -> tuple[MPoly, MPoly, MPoly]:
@@ -31,21 +31,21 @@ def cone_polys(g: MultiGraph) -> tuple[MPoly, MPoly, MPoly]:
     return p, q_red, y
 
 
-def v_class(g: MultiGraph, **oracle_kw) -> ClassPoly:
+def v_class(g: MultiGraph) -> ClassPoly:
     """Oracle class of the complement of the tangent cone (ambient edges+1)."""
-    return complement_class(leading_part(g), g.edge_count + 1, **oracle_kw)
+    return complement_class(leading_part(g), g.edge_count + 1)
 
 
-def w_class(g: MultiGraph, **oracle_kw) -> ClassPoly:
+def w_class(g: MultiGraph) -> ClassPoly:
     """Oracle class of the complement of the q-reduced component (ambient
     edges+1)."""
-    return complement_class(reduced_leading_part(g), g.edge_count + 1, **oracle_kw)
+    return complement_class(reduced_leading_part(g), g.edge_count + 1)
 
 
-def y_class(g: MultiGraph, **oracle_kw) -> ClassPoly:
+def y_class(g: MultiGraph) -> ClassPoly:
     """Oracle class of the complement of the q = 0 slice (ambient edges)."""
     y = reduced_leading_part(g).substitute("q", 0)
-    return complement_class(y, g.edge_count, **oracle_kw)
+    return complement_class(y, g.edge_count)
 
 
 def cone_edge_rule(c: ClassPoly, kind: EdgeKind) -> ClassPoly:
@@ -75,7 +75,7 @@ def split_residual_cone_poly(g: MultiGraph, edge_id: str) -> MPoly:
     return q_del - Q * q_con
 
 
-def cone_split_check(g: MultiGraph, edge_id: str, **oracle_kw) -> bool:
+def cone_split_check(g: MultiGraph, edge_id: str) -> bool:
     """Oracle check of the cone class identity for splitting a regular edge:
 
     {V after split} = (T-2){V_G} + (T-1){V_{G/e}}
@@ -87,67 +87,37 @@ def cone_split_check(g: MultiGraph, edge_id: str, **oracle_kw) -> bool:
     if g.classify_edge(edge_id) is not EdgeKind.REGULAR:
         raise InvalidArgumentError("the splitting identity needs a regular edge")
     dim = g.edge_count
-    lhs = v_class(g.split_edge(edge_id, 2), **oracle_kw)
+    lhs = v_class(g.split_edge(edge_id, 2))
     deleted = g.delete_edge(edge_id)
-    residual = locus_complement_class(
-        [split_residual_cone_poly(g, edge_id)], dim, **oracle_kw
-    )
+    residual = locus_complement_class([split_residual_cone_poly(g, edge_id)], dim)
     rhs = (
-        (T - 2) * v_class(g, **oracle_kw)
-        + (T - 1) * v_class(g.contract_edge(edge_id), **oracle_kw)
-        + (T + 1)
-        * (v_class(deleted, **oracle_kw) + residual - y_class(deleted, **oracle_kw))
+        (T - 2) * v_class(g)
+        + (T - 1) * v_class(g.contract_edge(edge_id))
+        + (T + 1) * (v_class(deleted) + residual - y_class(deleted))
     )
     return lhs == rhs
 
 
 # -- recurrences ---------------------------------------------------------------
 
-
-def cone_split_recursion_v(seeds: SplitSeeds, m: int) -> ClassPoly:
-    """m-th cone class of a regular-edge splitting family; same recurrence as
-    the full-class splitting: x[m+3] = (2T-2)x[m+2] - (T^2-3T+1)x[m+1]
-    - T(T-1)x[m]."""
-    if m < 0:
-        raise InvalidArgumentError("negative splitting index")
-    window = [seeds.s0, seeds.s1, seeds.s2]
-    if m < 3:
-        return window[m]
-    c2 = 2 * T - 2
-    c1 = -(T * T - 3 * T + 1)
-    c0 = -(T * (T - 1))
-    for _ in range(m - 2):
-        window.append(c2 * window[-1] + c1 * window[-2] + c0 * window[-3])
-        window.pop(0)
-    return window[-1]
+_Y_COEFFS = (-(T * T), -(T * (T - 2)), 2 * T - 1)
 
 
 def cone_split_recursion_y(seeds: SplitSeeds, m: int) -> ClassPoly:
     """m-th q = 0 slice class of a regular-edge splitting family:
     x[m+3] = (2T-1)x[m+2] - T(T-2)x[m+1] - T^2 x[m]."""
-    if m < 0:
-        raise InvalidArgumentError("negative splitting index")
-    window = [seeds.s0, seeds.s1, seeds.s2]
-    if m < 3:
-        return window[m]
-    c2 = 2 * T - 1
-    c1 = -(T * (T - 2))
-    c0 = -(T * T)
-    for _ in range(m - 2):
-        window.append(c2 * window[-1] + c1 * window[-2] + c0 * window[-3])
-        window.pop(0)
-    return window[-1]
+    return linear_recurrence(_Y_COEFFS, (seeds.s0, seeds.s1, seeds.s2), m)
 
 
-def cone_closed_form_v(seeds: SplitSeeds):
-    """Exponential coefficients (A, B, C) with
-    term(m) = A(-1)^m + B T^m + C (T-1)^m; identical shape to the full-class
-    splitting solution."""
-    return split_closed_form(seeds)
-
-
-def cone_closed_term_v(seeds: SplitSeeds, m: int) -> ClassPoly:
-    return split_closed_term(seeds, m)
+def _y_numerators(seeds: SplitSeeds) -> tuple[ClassPoly, ClassPoly, ClassPoly]:
+    """Numerators of (A, B, C) over the denominators ((T+1)^2, T+1, (T+1)^2)."""
+    y0, y1, y2 = seeds.s0, seeds.s1, seeds.s2
+    tp1 = T + 1
+    s = y2 + 2 * y1 + y0
+    a_num = y0 * tp1 * tp1 - 2 * (y1 + y0) * tp1 + s
+    b_num = -(y1 + y0) * tp1 + s
+    c_num = 2 * (y1 + y0) * tp1 - s
+    return a_num, b_num, c_num
 
 
 def cone_closed_form_y(
@@ -156,12 +126,8 @@ def cone_closed_form_y(
     """Exponential coefficients (A, B, C) of the q = 0 slice solution
     term(m) = A(-1)^m + B m T^{m-1} + C T^m, exact over the denominator
     (T+1)^2."""
-    y0, y1, y2 = seeds.s0, seeds.s1, seeds.s2
+    a_num, b_num, c_num = _y_numerators(seeds)
     tp1 = T + 1
-    s = y2 + 2 * y1 + y0
-    a_num = y0 * tp1 * tp1 - 2 * (y1 + y0) * tp1 + s
-    b_num = -(y1 + y0) * tp1 + s
-    c_num = 2 * (y1 + y0) * tp1 - s
     return (
         RationalClass(a_num, tp1 * tp1),
         RationalClass(b_num, tp1),
@@ -173,14 +139,10 @@ def cone_closed_term_y(seeds: SplitSeeds, m: int) -> ClassPoly:
     """term(m) of the q = 0 slice solution, evaluated exactly."""
     if m < 0:
         raise InvalidArgumentError("negative splitting index")
-    y0, y1, y2 = seeds.s0, seeds.s1, seeds.s2
+    a_num, b_num, c_num = _y_numerators(seeds)
     tp1 = T + 1
-    s = y2 + 2 * y1 + y0
-    a_num = y0 * tp1 * tp1 - 2 * (y1 + y0) * tp1 + s
-    b_num = -(y1 + y0) * tp1 + s
-    c_num = 2 * (y1 + y0) * tp1 - s
     ramp = ClassPoly.monomial(m - 1, m) if m >= 1 else ClassPoly.zero()
-    num = a_num * _SIGN[m & 1] + b_num * tp1 * ramp + c_num * ClassPoly.monomial(m)
+    num = a_num * (-1) ** m + b_num * tp1 * ramp + c_num * ClassPoly.monomial(m)
     return num.divexact(tp1 * tp1)
 
 
@@ -200,7 +162,7 @@ def polygon_cone_class(m: int) -> ClassPoly:
     if m < 0:
         raise InvalidArgumentError("negative polygon index")
     return (
-        (T - 1) * _SIGN[m & 1]
+        (T - 1) * (-1) ** m
         + 2 * ClassPoly.monomial(m + 2)
         - (T + 1) * (T - 1) ** (m + 1)
     )
@@ -214,12 +176,10 @@ def banana_cone_class(m: int) -> ClassPoly:
     return (T * T) * (T + 1) ** m
 
 
-def forest_class_identity_check(g: MultiGraph, **oracle_kw) -> bool:
+def forest_class_identity_check(g: MultiGraph) -> bool:
     """Oracle check that {cone complement} = {q-reduced component complement}
     - {q = 0 slice complement}, each in its own ambient dimension."""
-    return v_class(g, **oracle_kw) == w_class(g, **oracle_kw) - y_class(
-        g, **oracle_kw
-    )
+    return v_class(g) == w_class(g) - y_class(g)
 
 
 def forest_poly_agrees(g: MultiGraph) -> bool:

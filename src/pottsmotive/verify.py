@@ -459,7 +459,7 @@ def suite_cone(max_dim: int = 5) -> list[dict]:
         "cone/polygon-closed-vs-recursion",
         lambda: _eq(
             [
-                tangentcone.cone_split_recursion_v(tangentcone.POLYGON_CONE_SEEDS, m)
+                gr.split_recursion(tangentcone.POLYGON_CONE_SEEDS, m)
                 for m in range(7)
             ],
             [tangentcone.polygon_cone_class(m) for m in range(7)],
@@ -471,7 +471,7 @@ def suite_cone(max_dim: int = 5) -> list[dict]:
         lambda: _eq(
             tuple(
                 r.as_class()
-                for r in tangentcone.cone_closed_form_v(tangentcone.POLYGON_CONE_SEEDS)
+                for r in gr.split_closed_form(tangentcone.POLYGON_CONE_SEEDS)
             ),
             (T - 1, 2 * T**2, -(T**2 - 1)),
         ),

@@ -169,7 +169,7 @@ def test_criterion_08_tangent_cone():
         assert tc.v_class(TWO_BANANA) == seeds.s1
         assert tc.v_class(TRIANGLE) == seeds.s2
         for m in range(5):
-            assert tc.cone_split_recursion_v(seeds, m) == tc.polygon_cone_class(m)
+            assert gr.split_recursion(seeds, m) == tc.polygon_cone_class(m)
 
     _criterion(8, "tangent cone: complement difference, seeds, and recursion", body)
 

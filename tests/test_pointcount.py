@@ -85,11 +85,6 @@ def test_complement_plus_zeros_is_everything():
         assert count_complement(z, 3, p) + count_zero_locus([z], 3, p) == p**3
 
 
-def test_budget_enforced():
-    with pytest.raises(ResourceLimitError):
-        count_complement(LOOP_Z, 2, 3, budget=8)
-
-
 def test_budget_env(monkeypatch):
     monkeypatch.setenv("POTTS_BUDGET", "8")
     with pytest.raises(ResourceLimitError):

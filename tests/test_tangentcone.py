@@ -1,9 +1,14 @@
 import pytest
 
 from pottsmotive import tangentcone as tc
-from pottsmotive.classpoly import T
+from pottsmotive.classpoly import T, RationalClass
 from pottsmotive.errors import InvalidArgumentError
-from pottsmotive.grothendieck import SplitSeeds, split_recursion
+from pottsmotive.grothendieck import (
+    SplitSeeds,
+    split_closed_form,
+    split_closed_term,
+    split_recursion,
+)
 from pottsmotive.mpoly import MPoly, Q, edge_var
 from pottsmotive.multigraph import EdgeKind, MultiGraph, banana, polygon
 from pottsmotive.tutte import forest_poly
@@ -87,13 +92,11 @@ def test_cone_split_check(triangle, two_banana, square):
 
 
 def test_cone_recursion_v_matches_closed_form():
+    # the cone classes follow the full-class splitting recurrence
     seeds = tc.POLYGON_CONE_SEEDS
     for m in range(7):
-        assert tc.cone_split_recursion_v(seeds, m) == tc.polygon_cone_class(m)
-        assert tc.cone_closed_term_v(seeds, m) == tc.polygon_cone_class(m)
-    # identical recurrence to the full-class splitting
-    for m in range(9):
-        assert tc.cone_split_recursion_v(seeds, m) == split_recursion(seeds, m)
+        assert split_recursion(seeds, m) == tc.polygon_cone_class(m)
+        assert split_closed_term(seeds, m) == tc.polygon_cone_class(m)
 
 
 def test_cone_v_oracle_square(square):
@@ -101,7 +104,7 @@ def test_cone_v_oracle_square(square):
 
 
 def test_cone_closed_form_v_coefficients():
-    a, b, c = tc.cone_closed_form_v(tc.POLYGON_CONE_SEEDS)
+    a, b, c = split_closed_form(tc.POLYGON_CONE_SEEDS)
     assert a.as_class() == T - 1
     assert b.as_class() == 2 * T**2
     assert c.as_class() == -(T**2 - 1)
@@ -130,6 +133,15 @@ def test_cone_closed_term_y_long_range():
     )
     for m in range(13):
         assert tc.cone_closed_term_y(seeds, m) == tc.cone_split_recursion_y(seeds, m)
+
+
+def test_cone_closed_form_y_polygon_coefficients():
+    seeds = SplitSeeds(T + 1, T**2 + T, T**3 + 2 * T**2 + T)
+    a, b, c = tc.cone_closed_form_y(seeds)
+    assert a == RationalClass(T, T + 1)
+    assert b == RationalClass(T)
+    assert c == RationalClass(T**2 + T + 1, T + 1)
+    assert not a.is_polynomial and not c.is_polynomial
 
 
 def test_banana_cone_class(two_banana):
