@@ -84,11 +84,7 @@ def _input_graph(file, family, m, k, n) -> MultiGraph:
 
 def _within_edge_budget(g: MultiGraph) -> MultiGraph:
     """The graph itself, if its polynomials may be built symbolically."""
-    if g.edge_count > tutte.DEFAULT_EDGE_BUDGET:
-        raise ResourceLimitError(
-            f"{g.edge_count} edges exceeds the symbolic budget of "
-            f"{tutte.DEFAULT_EDGE_BUDGET}"
-        )
+    tutte.check_edge_budget(g.edge_count)
     return g
 
 
@@ -167,18 +163,19 @@ def _family_class(family, m, k, n, fixed_q):
     return gr.chain_banana_class_fixed_q(spec)
 
 
-def _oracle_dim(g: MultiGraph, fixed_q: bool, primes=None, check_prime=None) -> int:
-    """Ambient dimension of the oracle count for a graph, refused by the
-    symbolic budget or by the count report's checks before any of the
-    graph's polynomials is built."""
+def _oracle_dim(g: MultiGraph, q0=None, primes=None, check_prime=None) -> int:
+    """Ambient dimension of the oracle count for a graph, or for its fixed-q
+    slice at q0, refused by the symbolic budget or by the count report's
+    checks before any of the graph's polynomials is built."""
     _within_edge_budget(g)
-    dim = g.edge_count if fixed_q else g.edge_count + 1
-    pointcount.sample_plan(dim, primes, check_prime, skip_two=fixed_q)
+    dim = g.edge_count if q0 is not None else g.edge_count + 1
+    pointcount.sample_plan(dim, primes, check_prime, q0=q0)
     return dim
 
 
 def _oracle_class(graph: MultiGraph, fixed_q: bool):
-    dim = _oracle_dim(graph, fixed_q)
+    # fixed_q_class counts the slice at q = 2
+    dim = _oracle_dim(graph, 2 if fixed_q else None)
     z = tutte.tutte_delcon(graph)
     if fixed_q:
         return pointcount.fixed_q_class(z, dim)
@@ -234,7 +231,7 @@ def cmd_cone(family, m, oracle):
     }
     if oracle:
         g = _family_graph(family, m, 0, 1)
-        _oracle_dim(g, fixed_q=False)
+        _oracle_dim(g)
         counted = tangentcone.v_class(g)
         if counted != cls:
             raise NotPolynomialCountError(
@@ -299,7 +296,7 @@ def cmd_count(file, family, m, k, n, primes, check_prime, q0):
     """Count complement points over sample primes and interpolate the class."""
     g = _input_graph(file, family, m, k, n)
     sample_primes = _parse_primes(primes) if primes else None
-    dim = _oracle_dim(g, q0 is not None, sample_primes, check_prime)
+    dim = _oracle_dim(g, q0, sample_primes, check_prime)
     z = tutte.tutte_delcon(g)
     if q0 is None:
         report = pointcount.count_report(

@@ -242,15 +242,18 @@ def sample_plan(
     primes: Sequence[int] | None = None,
     check_prime: int | None = None,
     *,
-    skip_two: bool = False,
+    q0: int | None = None,
 ) -> tuple[tuple[int, ...], int]:
     """The sample primes and check prime of a count report, refused before
     anything is counted: too few or repeated primes, a check prime among the
-    samples, a non-prime, a dimension beyond the prime ladder, or a nominal
-    enumeration over POTTS_BUDGET.  Callers that must first build the
-    polynomial to count call this before building it."""
+    samples, a non-prime, a dimension beyond the prime ladder, a nominal
+    enumeration over POTTS_BUDGET, or, for a fixed-q slice at q0, a prime
+    where q0 is 0 or 1 (the slice degenerates there, so its count says
+    nothing about the class; a fixed-q slice is sampled at odd primes by
+    default).  Callers that must first build the polynomial to count call
+    this before building it."""
     if primes is None:
-        primes = default_primes(ambient_dim, skip_two=skip_two)
+        primes = default_primes(ambient_dim, skip_two=q0 is not None)
     primes = tuple(primes)
     if len(primes) < ambient_dim + 1:
         raise InvalidArgumentError(
@@ -263,6 +266,12 @@ def sample_plan(
     if check_prime in primes:
         raise InvalidArgumentError(f"check prime {check_prime} is also a sample prime")
     _check_primes(primes + (check_prime,))
+    if q0 is not None:
+        for p in primes + (check_prime,):
+            if q0 % p in (0, 1):
+                raise InvalidArgumentError(
+                    f"q = {q0} is {q0 % p} modulo {p}; the fixed-q slice degenerates"
+                )
     nominal = sum(p**ambient_dim for p in primes) + check_prime**ambient_dim
     cap = _budget()
     if nominal > cap:
@@ -327,21 +336,15 @@ def fixed_q_report(
     primes: Sequence[int] | None = None,
     check_prime: int | None = None,
 ) -> CountReport:
-    """count_report of a fixed-q complement slice, sampled at odd primes by
-    default.  q0 must avoid 0 and 1 in every field counted: there the slice
-    degenerates and its count says nothing about the class."""
-    if primes is None:
-        primes = default_primes(edge_count, skip_two=True)
-
-    def counter(prime: int) -> int:
-        if q0 % prime in (0, 1):
-            raise InvalidArgumentError(
-                f"q = {q0} is {q0 % prime} modulo {prime}; "
-                "the fixed-q slice degenerates"
-            )
-        return count_fixed_q(poly, q0, edge_count, prime)
-
-    return count_report(counter, edge_count, primes, check_prime)
+    """count_report of the fixed-q complement slice at q0; see sample_plan
+    for the primes it samples and the q0 it refuses."""
+    primes, check_prime = sample_plan(edge_count, primes, check_prime, q0=q0)
+    return count_report(
+        lambda p: count_fixed_q(poly, q0, edge_count, p),
+        edge_count,
+        primes,
+        check_prime,
+    )
 
 
 def fixed_q_class(poly: MPoly, edge_count: int) -> ClassPoly:

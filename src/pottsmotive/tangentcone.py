@@ -19,7 +19,7 @@ from .grothendieck import SplitSeeds, linear_recurrence
 from .mpoly import MPoly, Q
 from .multigraph import EdgeKind, MultiGraph
 from .pointcount import complement_class, locus_complement_class
-from .tutte import forest_poly, leading_part, reduced_leading_part
+from .tutte import leading_part, reduced_leading_part
 
 
 def cone_polys(g: MultiGraph) -> tuple[MPoly, MPoly, MPoly]:
@@ -174,15 +174,3 @@ def banana_cone_class(m: int) -> ClassPoly:
     if m < 0:
         raise InvalidArgumentError("negative banana index")
     return (T * T) * (T + 1) ** m
-
-
-def forest_class_identity_check(g: MultiGraph) -> bool:
-    """Oracle check that {cone complement} = {q-reduced component complement}
-    - {q = 0 slice complement}, each in its own ambient dimension."""
-    return v_class(g) == w_class(g) - y_class(g)
-
-
-def forest_poly_agrees(g: MultiGraph) -> bool:
-    """The q = 0 slice of the q-reduced cone polynomial is the spanning
-    forest polynomial."""
-    return cone_polys(g)[2] == forest_poly(g)

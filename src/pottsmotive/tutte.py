@@ -11,7 +11,8 @@ subset routes walk every edge subset once (`_subsets`), while tutte_delcon
 recurses on subgraphs and never enumerates subsets.  Each route builds its
 terms in one dict and makes one MPoly at the end.  tutte_delcon memoises on
 the subgraph for the length of one top-level call only, so nothing is
-cached between calls.
+cached between calls.  Both refuse a graph with more than
+DEFAULT_EDGE_BUDGET edges (check_edge_budget).
 """
 
 from __future__ import annotations
@@ -21,6 +22,16 @@ from .mpoly import MPoly, Q, var_sort_key
 from .multigraph import EdgeKind, MultiGraph
 
 DEFAULT_EDGE_BUDGET = 20
+
+
+def check_edge_budget(edge_count: int) -> None:
+    """Refuse a graph whose polynomials are too large to build symbolically:
+    every route to Z_G and its derived polynomials has 2^edges terms to
+    visit."""
+    if edge_count > DEFAULT_EDGE_BUDGET:
+        raise ResourceLimitError(
+            f"{edge_count} edges exceeds the symbolic budget of {DEFAULT_EDGE_BUDGET}"
+        )
 
 
 def _ordered_edges(edges) -> tuple:
@@ -41,6 +52,7 @@ def _subsets(vertex_count: int, edges) -> list[tuple[int, tuple]]:
     subset costs one relabelling instead of a fresh component count.  An
     edge is left out before it is put in, so the subsets without and with
     the last edge come in adjacent pairs."""
+    check_edge_budget(len(edges))
     out = []
 
     def walk(i: int, k: int, labels: tuple, chosen: tuple) -> None:
@@ -59,13 +71,9 @@ def _subsets(vertex_count: int, edges) -> list[tuple[int, tuple]]:
     return out
 
 
-def tutte_poly(g: MultiGraph, max_edges: int = DEFAULT_EDGE_BUDGET) -> MPoly:
+def tutte_poly(g: MultiGraph) -> MPoly:
     """Z_G(q, t) as the sum over edge subsets A of q^k(A) * prod_{e in A} t_e,
     components counted on the full vertex set."""
-    if g.edge_count > max_edges:
-        raise ResourceLimitError(
-            f"{g.edge_count} edges exceeds the enumeration budget of {max_edges}"
-        )
     edges = _ordered_edges(g.edges)
     terms = {(k,) + chosen: 1 for k, chosen in _subsets(g.vertex_count, edges)}
     return MPoly(("q",) + _edge_names(edges), terms)
@@ -95,6 +103,7 @@ def tutte_delcon(g: MultiGraph) -> MPoly:
     The recursion maps each subgraph to its terms {k << E | edge mask: 1},
     with one mask bit per edge of g, and memoises on the subgraph until
     this call returns."""
+    check_edge_budget(g.edge_count)
     edges = _ordered_edges(g.edges)
     width = len(edges)
     bit = {eid: 1 << i for i, (eid, _, _) in enumerate(edges)}

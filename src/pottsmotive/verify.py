@@ -1,12 +1,20 @@
-"""Cross-checking suites behind the `verify` CLI subcommand.
+"""The check registry behind the `verify` CLI subcommand and the test suite.
 
 Each suite replays the structural identities of one layer of the package on
 a small fixed corpus of graphs, using the point-counting oracle wherever a
-class is involved, and reports one named pass/fail result per check.  All
-checks are deterministic.
+class is involved.  A suite is a generator of named checks `(name, thunk)`
+in report order; a thunk takes no arguments and returns `(ok, detail)`.
+`checks` chains the suites, `run_suite` runs each check once through
+`_check` and collects one pass/fail result per name, and the tests run the
+same thunks under the same names.  The registry is lazy: work shared by
+several checks (such as a graph's Z_G) is done between them, outside the
+thunks.  All checks are deterministic.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from typing import Callable, Iterator
 
 from . import grothendieck as gr
 from . import motivic, pointcount, tangentcone, tutte
@@ -54,6 +62,9 @@ def corpus() -> list[tuple[str, MultiGraph]]:
     ]
 
 
+Check = tuple[str, Callable[[], tuple[bool, str]]]
+
+
 def _check(results: list, name: str, fn) -> None:
     try:
         ok, detail = fn()
@@ -69,42 +80,35 @@ def _eq(a, b) -> tuple[bool, str]:
 # -- suite: tutte ---------------------------------------------------------------
 
 
-def suite_tutte(max_dim: int = 5) -> list[dict]:
-    results: list[dict] = []
+def suite_tutte(max_dim: int = 5) -> Iterator[Check]:
     for name, g in corpus():
-        _check(
-            results,
+        yield (
             f"tutte/subset-vs-delcon/{name}",
             lambda g=g: _eq(tutte.tutte_poly(g), tutte.tutte_delcon(g)),
         )
-        _check(
-            results,
+        yield (
             f"tutte/torus-at-q1/{name}",
             lambda g=g: _eq(
                 tutte.tutte_delcon(g).substitute("q", 1),
                 _edge_torus_product(g),
             ),
         )
-        _check(
-            results,
+        yield (
             f"tutte/forest-poly-routes/{name}",
             lambda g=g: _eq(tutte.forest_poly(g), tutte.forest_poly_from_tutte(g)),
         )
-        _check(
-            results,
+        yield (
             f"tutte/complement-poly-routes/{name}",
             lambda g=g: _eq(
                 tutte.forest_complement_poly(g),
                 tutte.forest_complement_from_dual(g),
             ),
         )
-        _check(
-            results,
+        yield (
             f"tutte/leading-part-forests/{name}",
             lambda g=g: _eq(tutte.leading_part(g), tutte.leading_part_by_forests(g)),
         )
-        _check(
-            results,
+        yield (
             f"tutte/leading-part-degree/{name}",
             lambda g=g: (
                 tutte.leading_part(g).is_homogeneous()
@@ -112,8 +116,7 @@ def suite_tutte(max_dim: int = 5) -> list[dict]:
                 "homogeneous of degree V",
             ),
         )
-        _check(
-            results,
+        yield (
             f"tutte/q0-slice-is-forest-poly/{name}",
             lambda g=g: _eq(
                 tutte.reduced_leading_part(g).substitute("q", 0),
@@ -121,8 +124,7 @@ def suite_tutte(max_dim: int = 5) -> list[dict]:
             ),
         )
         for eid in g.edge_ids():
-            _check(
-                results,
+            yield (
                 f"tutte/delcon-edge/{name}/{eid}",
                 lambda g=g, e=eid: _eq(
                     tutte.tutte_delcon(g),
@@ -132,14 +134,12 @@ def suite_tutte(max_dim: int = 5) -> list[dict]:
             )
             u, v = g.endpoints(eid)
             if u != v:
-                _check(
-                    results,
+                yield (
                     f"tutte/connecting-split/{name}/{eid}",
                     lambda g=g, e=eid: _split_identities(g, e),
                 )
             if g.classify_edge(eid) is EdgeKind.REGULAR:
-                _check(
-                    results,
+                yield (
                     f"tutte/leading-delcon/{name}/{eid}",
                     lambda g=g, e=eid: _eq(
                         tutte.leading_part(g),
@@ -147,7 +147,6 @@ def suite_tutte(max_dim: int = 5) -> list[dict]:
                         + edge_var(e) * tutte.leading_part(g.contract_edge(e)),
                     ),
                 )
-    return results
 
 
 def _edge_torus_product(g: MultiGraph) -> MPoly:
@@ -173,15 +172,13 @@ def _split_identities(g: MultiGraph, eid: str):
 # -- suite: oracle ---------------------------------------------------------------
 
 
-def suite_oracle(max_dim: int = 5) -> list[dict]:
-    results: list[dict] = []
+def suite_oracle(max_dim: int = 5) -> Iterator[Check]:
     for name, g in corpus():
         dim = g.edge_count + 1
         if dim > max_dim:
             continue
         z = tutte.tutte_delcon(g)
-        _check(
-            results,
+        yield (
             f"oracle/complement-plus-zeros/{name}",
             lambda g=g, z=z, d=dim: _eq(
                 pointcount.count_complement(z, d, 5)
@@ -189,52 +186,36 @@ def suite_oracle(max_dim: int = 5) -> list[dict]:
                 5**d,
             ),
         )
-        _check(
-            results,
+        yield (
             f"oracle/f2-count-is-1/{name}",
             lambda z=z, d=dim: _eq(pointcount.count_complement(z, d, 2), 1),
         )
-        _check(
-            results,
+        yield (
             f"oracle/class-at-1/{name}",
             lambda g=g: _eq(gr.graph_class(g).eval_int(1), 1),
         )
-        _check(
-            results,
-            f"oracle/roundtrip/{name}",
-            lambda g=g, z=z, d=dim: _roundtrip(z, d),
-        )
+        yield f"oracle/roundtrip/{name}", lambda z=z, d=dim: _roundtrip(z, d)
         for eid in g.edge_ids():
-            _check(
-                results,
+            yield (
                 f"oracle/delcon-class/{name}/{eid}",
                 lambda g=g, e=eid: (
                     gr.delcon_identity_check(g, e),
                     "class deletion-contraction",
                 ),
             )
-        if g.edge_count + 1 <= max_dim:
-            _check(
-                results,
-                f"oracle/fixed-q-independent/{name}",
-                lambda g=g, z=z: _fixed_q_independent(g, z),
-            )
-    _check(
-        results,
-        "oracle/seed-loop",
-        lambda: _eq(gr.graph_class(LOOP), T**2),
-    )
-    _check(
-        results,
+        yield (
+            f"oracle/fixed-q-independent/{name}",
+            lambda g=g, z=z: _fixed_q_independent(g, z),
+        )
+    yield "oracle/seed-loop", lambda: _eq(gr.graph_class(LOOP), T**2)
+    yield (
         "oracle/seed-2-banana",
         lambda: _eq(gr.graph_class(TWO_BANANA), T**3 + T**2 - 1),
     )
-    _check(
-        results,
+    yield (
         "oracle/seed-triangle",
         lambda: _eq(gr.graph_class(TRIANGLE), T**4 + 2 * T**3 - 2 * T**2 - 2 * T + 2),
     )
-    return results
 
 
 def _roundtrip(z: MPoly, dim: int):
@@ -259,19 +240,16 @@ def _fixed_q_independent(g: MultiGraph, z: MPoly):
 # -- suite: classes ----------------------------------------------------------------
 
 
-def suite_classes(max_dim: int = 5) -> list[dict]:
-    results: list[dict] = []
+def suite_classes(max_dim: int = 5) -> Iterator[Check]:
     seeds = gr.POLYGON_SEEDS
-    _check(
-        results,
+    yield (
         "classes/polygon-recursion-vs-closed",
         lambda: _eq(
             [gr.split_recursion(seeds, m) for m in range(9)],
             [gr.polygon_class(m) for m in range(9)],
         ),
     )
-    _check(
-        results,
+    yield (
         "classes/split-closed-term-matches-recursion",
         lambda: _eq(
             [gr.split_closed_term(seeds, m) for m in range(13)],
@@ -279,8 +257,7 @@ def suite_classes(max_dim: int = 5) -> list[dict]:
         ),
     )
     cone_seeds = tangentcone.POLYGON_CONE_SEEDS
-    _check(
-        results,
+    yield (
         "classes/cone-closed-term-matches-recursion",
         lambda: _eq(
             [gr.split_closed_term(cone_seeds, m) for m in range(13)],
@@ -288,16 +265,14 @@ def suite_classes(max_dim: int = 5) -> list[dict]:
         ),
     )
     bseeds = gr.DoubleSeeds(T**2, T**3 + T**2 - 1)
-    _check(
-        results,
+    yield (
         "classes/banana-closed-form",
         lambda: _eq(
             [gr.double_closed_form(bseeds, m) for m in range(9)],
             [gr.banana_class(m) for m in range(9)],
         ),
     )
-    _check(
-        results,
+    yield (
         "classes/banana-recurrence",
         lambda: (
             all(
@@ -309,29 +284,25 @@ def suite_classes(max_dim: int = 5) -> list[dict]:
             "order-2 recurrence",
         ),
     )
-    _check(
-        results,
+    yield (
         "classes/fibration-polygon",
         lambda: _eq(
             [gr.fibration_reduce(gr.polygon_class(m), m + 1) for m in range(9)],
             [gr.polygon_class_fixed_q(m) for m in range(9)],
         ),
     )
-    _check(
-        results,
+    yield (
         "classes/fibration-banana",
         lambda: _eq(
             [gr.fibration_reduce(gr.banana_class(m), m + 1) for m in range(9)],
             [gr.banana_class_fixed_q(m) for m in range(9)],
         ),
     )
-    _check(
-        results,
+    yield (
         "classes/disjoint-union-two-edges",
         lambda: _eq(gr.disjoint_union_class(T**2, 1, T**2, 1), T**3),
     )
-    _check(
-        results,
+    yield (
         "classes/join-transforms",
         lambda: _eq(
             (
@@ -343,30 +314,19 @@ def suite_classes(max_dim: int = 5) -> list[dict]:
         ),
     )
     if max_dim >= 3:
-        _check(
-            results,
-            "classes/residual-from-seeds-vs-oracle",
-            lambda: _residual_against_oracle(),
-        )
-        _check(
-            results,
-            "classes/doubling-residual-vs-oracle",
-            lambda: _doubling_against_oracle(),
-        )
+        yield "classes/residual-from-seeds-vs-oracle", _residual_against_oracle
+        yield "classes/doubling-residual-vs-oracle", _doubling_against_oracle
     if max_dim >= 4:
-        _check(
-            results,
+        yield (
             "classes/oracle-two-edges-class",
             lambda: _eq(gr.graph_class(TWO_EDGES), T**3),
         )
-        _check(
-            results,
+        yield (
             "classes/oracle-two-loops-class",
             lambda: _eq(gr.graph_class(TWO_LOOPS), T**3),
         )
     if max_dim >= 5:
-        _check(
-            results,
+        yield (
             "classes/chain-banana-oracle",
             lambda: _eq(
                 pointcount.fixed_q_class(
@@ -375,8 +335,7 @@ def suite_classes(max_dim: int = 5) -> list[dict]:
                 gr.chain_banana_class_fixed_q(FamilySpec(1, 0, 2)),
             ),
         )
-        _check(
-            results,
+        yield (
             "classes/chain-polygon-oracle",
             lambda: _eq(
                 pointcount.fixed_q_class(
@@ -385,7 +344,6 @@ def suite_classes(max_dim: int = 5) -> list[dict]:
                 gr.chain_polygon_class_fixed_q(FamilySpec(1, 1, 2)),
             ),
         )
-    return results
 
 
 def _residual_against_oracle():
@@ -421,25 +379,25 @@ def _doubling_against_oracle():
 # -- suite: cone -------------------------------------------------------------------
 
 
-def suite_cone(max_dim: int = 5) -> list[dict]:
-    results: list[dict] = []
+def suite_cone(max_dim: int = 5) -> Iterator[Check]:
     for name, g in corpus():
-        _check(
-            results,
+        yield (
             f"cone/q0-slice-vs-forests/{name}",
-            lambda g=g: (tangentcone.forest_poly_agrees(g), "slice equals forest sum"),
+            lambda g=g: (
+                tangentcone.cone_polys(g)[2] == tutte.forest_poly(g),
+                "slice equals forest sum",
+            ),
         )
         if g.edge_count + 1 <= max_dim:
-            _check(
-                results,
+            yield (
                 f"cone/complement-difference/{name}",
                 lambda g=g: (
-                    tangentcone.forest_class_identity_check(g),
+                    tangentcone.v_class(g)
+                    == tangentcone.w_class(g) - tangentcone.y_class(g),
                     "cone = component minus slice",
                 ),
             )
-    _check(
-        results,
+    yield (
         "cone/polygon-seeds-oracle",
         lambda: _eq(
             (
@@ -454,8 +412,7 @@ def suite_cone(max_dim: int = 5) -> list[dict]:
             ),
         ),
     )
-    _check(
-        results,
+    yield (
         "cone/polygon-closed-vs-recursion",
         lambda: _eq(
             [
@@ -465,8 +422,7 @@ def suite_cone(max_dim: int = 5) -> list[dict]:
             [tangentcone.polygon_cone_class(m) for m in range(7)],
         ),
     )
-    _check(
-        results,
+    yield (
         "cone/exponential-coefficients",
         lambda: _eq(
             tuple(
@@ -476,32 +432,28 @@ def suite_cone(max_dim: int = 5) -> list[dict]:
             (T - 1, 2 * T**2, -(T**2 - 1)),
         ),
     )
-    _check(
-        results,
+    yield (
         "cone/loop-split-scale",
         lambda: _eq(
             tangentcone.v_class(LOOP.split_edge("1", 2)),
             tangentcone.cone_split_scale(tangentcone.v_class(LOOP), 1),
         ),
     )
-    _check(
-        results,
+    yield (
         "cone/edge-rule-loop",
         lambda: _eq(
             tangentcone.v_class(TRIANGLE_LOOP),
             tangentcone.cone_edge_rule(tangentcone.v_class(TRIANGLE), EdgeKind.LOOP),
         ),
     )
-    _check(
-        results,
+    yield (
         "cone/edge-rule-bridge",
         lambda: _eq(
             tangentcone.v_class(TRIANGLE_TAIL),
             tangentcone.cone_edge_rule(tangentcone.v_class(TRIANGLE), EdgeKind.BRIDGE),
         ),
     )
-    _check(
-        results,
+    yield (
         "cone/edge-rule-parallel",
         lambda: _eq(
             tangentcone.v_class(TRIANGLE.double_edge("1", 1)),
@@ -513,8 +465,7 @@ def suite_cone(max_dim: int = 5) -> list[dict]:
         ("triangle", TRIANGLE, "1"),
     ):
         if g.edge_count + 2 <= max_dim + 1:
-            _check(
-                results,
+            yield (
                 f"cone/split-identity/{name}",
                 lambda g=g, e=eid: (
                     tangentcone.cone_split_check(g, e),
@@ -522,12 +473,10 @@ def suite_cone(max_dim: int = 5) -> list[dict]:
                 ),
             )
     for name, g, eid in (("triangle", TRIANGLE, "1"), ("2-banana", TWO_BANANA, "1")):
-        _check(
-            results,
+        yield (
             f"cone/component-delcon/{name}",
             lambda g=g, e=eid: _component_delcon(g, e),
         )
-    return results
 
 
 def _component_delcon(g: MultiGraph, eid: str):
@@ -556,9 +505,7 @@ def _component_delcon(g: MultiGraph, eid: str):
 # -- suite: chi ---------------------------------------------------------------------
 
 
-def suite_chi(max_dim: int = 5) -> list[dict]:
-    results: list[dict] = []
-
+def suite_chi(max_dim: int = 5) -> Iterator[Check]:
     def _grid(rows_fn):
         bad = []
         for m in range(5):
@@ -569,21 +516,12 @@ def suite_chi(max_dim: int = 5) -> list[dict]:
                         bad.append((m, k, n))
         return not bad, f"disagreements: {bad}" if bad else "all 80 cases agree"
 
-    _check(
-        results,
-        "chi/polygon-grid",
-        lambda: _grid(motivic.chain_polygon_chi_table_row),
-    )
-    _check(
-        results,
-        "chi/banana-grid",
-        lambda: _grid(motivic.chain_banana_chi_table_row),
-    )
+    yield "chi/polygon-grid", lambda: _grid(motivic.chain_polygon_chi_table_row)
+    yield "chi/banana-grid", lambda: _grid(motivic.chain_banana_chi_table_row)
     samples = [
         gr.polygon_class(m) for m in range(6)
     ] + [gr.banana_class_fixed_q(m) for m in range(6)]
-    _check(
-        results,
+    yield (
         "chi/virtual-poincare-at-minus-1",
         lambda: (
             all(
@@ -594,8 +532,7 @@ def suite_chi(max_dim: int = 5) -> list[dict]:
             "u = -1 value equals chi_c",
         ),
     )
-    _check(
-        results,
+    yield (
         "chi/e-polynomial-at-1-1",
         lambda: (
             all(
@@ -606,8 +543,7 @@ def suite_chi(max_dim: int = 5) -> list[dict]:
             "x = y = 1 value equals chi",
         ),
     )
-    _check(
-        results,
+    yield (
         "chi/ring-homomorphisms",
         lambda: (
             all(
@@ -620,7 +556,6 @@ def suite_chi(max_dim: int = 5) -> list[dict]:
             "products and sums",
         ),
     )
-    return results
 
 
 SUITES = {
@@ -632,16 +567,23 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_dim: int = 5) -> list[dict]:
+def checks(suite: str = "all", max_dim: int = 5) -> Iterator[Check]:
+    """The named checks of one suite, or of every suite for "all", in report
+    order.  max_dim is the largest ambient dimension the oracle checks
+    count in."""
     # below 1 every oracle check would be skipped and the suite would pass
     # without having counted anything
     if max_dim < 1:
         raise InvalidArgumentError(f"max_dim must be at least 1, got {max_dim}")
-    if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](max_dim))
-        return out
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name](max_dim)
+    if suite == "all":
+        return chain.from_iterable(s(max_dim) for s in SUITES.values())
+    if suite not in SUITES:
+        raise KeyError(suite)
+    return SUITES[suite](max_dim)
+
+
+def run_suite(name: str, max_dim: int = 5) -> list[dict]:
+    results: list[dict] = []
+    for check_name, fn in checks(name, max_dim):
+        _check(results, check_name, fn)
+    return results

@@ -1,5 +1,8 @@
+from fnmatch import fnmatch
+
 import pytest
 
+from pottsmotive import verify
 from pottsmotive.multigraph import MultiGraph, banana, disjoint_union, polygon
 
 
@@ -36,3 +39,21 @@ def path2():
 @pytest.fixture
 def two_edges():
     return disjoint_union(banana(1), banana(1))
+
+
+@pytest.fixture
+def run_checks():
+    """Run the `verify` registry checks whose report names match any of the
+    shell-style patterns; every pattern must match at least one check."""
+
+    def run(*patterns):
+        unmatched = set(patterns)
+        for name, fn in verify.checks("all"):
+            hits = {p for p in patterns if fnmatch(name, p)}
+            if hits:
+                ok, detail = fn()
+                assert ok, f"{name}: {detail}"
+                unmatched -= hits
+        assert not unmatched, f"no check matches {sorted(unmatched)}"
+
+    return run

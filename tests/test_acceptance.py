@@ -3,41 +3,38 @@
 Every comparison is exact (integer or polynomial equality); there are no
 tolerances anywhere.  Oracle-side values are recomputed from finite-field
 counts inside the test, never copied from the formulas they are checking.
+Criteria 04, 06, 07 and 08 are identities of the `verify` check registry and
+run those checks by name.
 """
 
 from pottsmotive import grothendieck as gr
 from pottsmotive import motivic as mv
 from pottsmotive import pointcount as pc
-from pottsmotive import tangentcone as tc
 from pottsmotive import tutte
 from pottsmotive.classpoly import T
-from pottsmotive.multigraph import (
-    FamilySpec,
-    MultiGraph,
-    banana,
-    disjoint_union,
-    polygon,
+from pottsmotive.multigraph import FamilySpec, banana, polygon
+from pottsmotive.verify import (
+    LOOP,
+    PATH_2,
+    SINGLE_EDGE,
+    SQUARE,
+    TRIANGLE,
+    TWO_BANANA,
+    TWO_EDGES,
 )
 
-LOOP = polygon(1)
-SINGLE_EDGE = banana(1)
-TWO_BANANA = banana(2)
-TRIANGLE = polygon(3)
-PATH_2 = MultiGraph(3, (("1", 0, 1), ("2", 1, 2)))
-TWO_EDGES = disjoint_union(SINGLE_EDGE, SINGLE_EDGE)
-
 CORPUS = [
-    ("loop", LOOP),
-    ("single-edge", SINGLE_EDGE),
-    ("2-banana", TWO_BANANA),
-    ("triangle", TRIANGLE),
-    ("square", polygon(4)),
-    ("pentagon", polygon(5)),
-    ("path-2", PATH_2),
-    ("two-edges", TWO_EDGES),
-    ("3-banana", banana(3)),
-    ("4-banana", banana(4)),
-    ("5-banana", banana(5)),
+    LOOP,
+    SINGLE_EDGE,
+    TWO_BANANA,
+    TRIANGLE,
+    SQUARE,
+    polygon(5),
+    PATH_2,
+    TWO_EDGES,
+    banana(3),
+    banana(4),
+    banana(5),
 ]
 
 
@@ -73,7 +70,7 @@ def test_criterion_01_seed_classes():
 
 def test_criterion_02_polygon_closed_form():
     def body():
-        square = _z_class(polygon(4), (2, 3, 5, 7, 11, 13), 17)
+        square = _z_class(SQUARE, (2, 3, 5, 7, 11, 13), 17)
         assert square == gr.polygon_class(3)
         pentagon = _z_class(polygon(5), (2, 3, 5, 7, 11, 13, 17), 19)
         assert pentagon == gr.polygon_class(4)
@@ -92,17 +89,12 @@ def test_criterion_03_fixed_q_independence():
     _criterion(3, "fixed-q counts of the triangle: q-independent, match T^3+2T^2-2", body)
 
 
-def test_criterion_04_fibration_reduction():
-    def body():
-        for m in range(9):
-            assert gr.fibration_reduce(
-                gr.polygon_class(m), m + 1
-            ) == gr.polygon_class_fixed_q(m)
-            assert gr.fibration_reduce(
-                gr.banana_class(m), m + 1
-            ) == gr.banana_class_fixed_q(m)
-
-    _criterion(4, "fibration reduction, polygons and bananas, m = 0..8", body)
+def test_criterion_04_fibration_reduction(run_checks):
+    _criterion(
+        4,
+        "fibration reduction, polygons and bananas, m = 0..8",
+        lambda: run_checks("classes/fibration-*"),
+    )
 
 
 def test_criterion_05_recursions_against_oracle():
@@ -119,59 +111,37 @@ def test_criterion_05_recursions_against_oracle():
     _criterion(5, "splitting and doubling recurrences on oracle classes, m = 0..4", body)
 
 
-def test_criterion_06_delcon_identity():
-    def body():
-        for _, g in [
-            ("loop", LOOP),
-            ("single-edge", SINGLE_EDGE),
-            ("2-banana", TWO_BANANA),
-            ("triangle", TRIANGLE),
-            ("path-2", PATH_2),
-            ("two-edges", TWO_EDGES),
-        ]:
-            for eid in g.edge_ids():
-                assert gr.delcon_identity_check(g, eid)
-
-    _criterion(6, "class deletion-contraction identity on every edge of six graphs", body)
+def test_criterion_06_delcon_identity(run_checks):
+    graphs = ("loop", "edge", "2-banana", "triangle", "path-2", "two-edges")
+    _criterion(
+        6,
+        "class deletion-contraction identity on every edge of six graphs",
+        lambda: run_checks(*(f"oracle/delcon-class/{name}/*" for name in graphs)),
+    )
 
 
-def test_criterion_07_splitting_and_doubling_loci():
-    def body():
-        # the loop -> 2-banana -> triangle splitting family over the 2-banana
-        g = TWO_BANANA
-        eid = "2"
-        s0 = _z_class(g.contract_edge(eid))
-        s1 = _z_class(g)
-        s2 = _z_class(g.split_edge(eid, 2))
-        z_del = pc.complement_class(
-            tutte.tutte_delcon(g.delete_edge(eid)), g.edge_count
-        )
-        residual = pc.locus_complement_class(
-            [tutte.split_residual_poly(g, eid)], g.edge_count
-        )
-        assert (T + 1) * (z_del + residual) == s2 - (T - 2) * s1 - (T - 1) * s0
-        # doubling the single edge into the 2-banana
-        h = SINGLE_EDGE
-        b_residual = pc.locus_complement_class(
-            [tutte.doubling_residual_poly(h, "1")], h.edge_count
-        )
-        assert gr.double_step(_z_class(h), b_residual) == _z_class(h.double_edge("1", 1))
-
-    _criterion(7, "splitting and doubling residual loci balance via the oracle", body)
+def test_criterion_07_splitting_and_doubling_loci(run_checks):
+    _criterion(
+        7,
+        "splitting and doubling residual loci balance via the oracle",
+        lambda: run_checks(
+            "classes/residual-from-seeds-vs-oracle",
+            "classes/doubling-residual-vs-oracle",
+        ),
+    )
 
 
-def test_criterion_08_tangent_cone():
-    def body():
-        for g in (LOOP, SINGLE_EDGE, TWO_BANANA, TRIANGLE, PATH_2):
-            assert tc.v_class(g) == tc.w_class(g) - tc.y_class(g)
-        seeds = tc.POLYGON_CONE_SEEDS
-        assert tc.v_class(LOOP) == seeds.s0
-        assert tc.v_class(TWO_BANANA) == seeds.s1
-        assert tc.v_class(TRIANGLE) == seeds.s2
-        for m in range(5):
-            assert gr.split_recursion(seeds, m) == tc.polygon_cone_class(m)
-
-    _criterion(8, "tangent cone: complement difference, seeds, and recursion", body)
+def test_criterion_08_tangent_cone(run_checks):
+    graphs = ("loop", "edge", "2-banana", "triangle", "path-2")
+    _criterion(
+        8,
+        "tangent cone: complement difference, seeds, and recursion",
+        lambda: run_checks(
+            *(f"cone/complement-difference/{name}" for name in graphs),
+            "cone/polygon-seeds-oracle",
+            "cone/polygon-closed-vs-recursion",
+        ),
+    )
 
 
 def test_criterion_09_chi_tables():
@@ -195,10 +165,10 @@ def test_criterion_09_chi_tables():
 
 def test_criterion_10_universal_torus_check():
     def body():
-        for _, g in CORPUS:
+        for g in CORPUS:
             z = tutte.tutte_delcon(g)
             assert pc.count_complement(z, g.edge_count + 1, 2) == 1
-        for _, g in CORPUS:
+        for g in CORPUS:
             if g.edge_count + 1 <= 5:
                 assert _z_class(g).eval_int(1) == 1
         # the larger corpus members, through their closed forms

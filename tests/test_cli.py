@@ -275,7 +275,12 @@ def test_count_check_prime_among_samples_exit_2(runner):
         "53",  # 1 modulo the default check prime 13
     ],
 )
-def test_count_degenerate_q_exit_2(runner, q0):
+def test_count_degenerate_q_exit_2(runner, monkeypatch, q0):
+    # refused before Z_G is built or any prime is counted
+    def never(g):
+        raise AssertionError("Z_G built for a count that is refused")
+
+    monkeypatch.setattr("pottsmotive.tutte.tutte_delcon", never)
     result = _count(runner, "--q", q0)
     assert result.exit_code == 2
     assert "degenerates" in result.output
@@ -335,7 +340,7 @@ def test_verify_failure_exit_1(runner, monkeypatch):
     from pottsmotive import verify as verify_mod
 
     def broken_suite(max_dim=5):
-        return [{"name": "forced/failure", "ok": False, "detail": "synthetic"}]
+        yield "forced/failure", lambda: (False, "synthetic")
 
     monkeypatch.setitem(verify_mod.SUITES, "classes", broken_suite)
     result = runner.invoke(cli, ["verify", "--suite", "classes"])

@@ -5,7 +5,6 @@ from pottsmotive import pointcount, tutte
 from pottsmotive.classpoly import T, ZERO, ClassPoly, RationalClass
 from pottsmotive.errors import ExactDivisionError, InvalidArgumentError
 from pottsmotive.multigraph import FamilySpec, banana, disjoint_union, polygon
-from pottsmotive.tangentcone import POLYGON_CONE_SEEDS
 
 TRIANGLE_CLASS = T**4 + 2 * T**3 - 2 * T**2 - 2 * T + 2
 TWO_BANANA_CLASS = T**3 + T**2 - 1
@@ -99,10 +98,11 @@ def test_split_recursion_seeds_and_square():
     assert square_class == gr.graph_class(polygon(4))
 
 
-def test_split_recursion_matches_closed_form():
-    for seeds in (gr.POLYGON_SEEDS, POLYGON_CONE_SEEDS):
-        for m in range(13):
-            assert gr.split_closed_term(seeds, m) == gr.split_recursion(seeds, m)
+def test_split_recursion_matches_closed_form(run_checks):
+    run_checks(
+        "classes/split-closed-term-matches-recursion",
+        "classes/cone-closed-term-matches-recursion",
+    )
 
 
 def test_split_closed_form_polygon_coefficients():
@@ -110,13 +110,6 @@ def test_split_closed_form_polygon_coefficients():
     assert a == RationalClass(-(T - 1), T)
     assert b.as_class() == 2 * T**2 - T
     assert c == RationalClass(-((T - 1) ** 2) * (T + 1), T)
-
-
-def test_split_closed_form_cone_coefficients():
-    a, b, c = gr.split_closed_form(POLYGON_CONE_SEEDS)
-    assert a.as_class() == T - 1
-    assert b.as_class() == 2 * T**2
-    assert c.as_class() == -(T**2 - 1)
 
 
 def test_split_closed_form_zero_seeds():
@@ -151,12 +144,8 @@ def test_double_closed_form_fixed_q_banana():
         assert gr.banana_class_fixed_q(m) == gr.double_closed_form(seeds, m)
 
 
-def test_double_recurrence():
-    seeds = gr.DoubleSeeds(T**2, TWO_BANANA_CLASS)
-    for m in range(8):
-        assert gr.double_closed_form(seeds, m + 2) == (2 * T + 1) * gr.double_closed_form(
-            seeds, m + 1
-        ) - T * (T + 1) * gr.double_closed_form(seeds, m)
+def test_double_recurrence(run_checks):
+    run_checks("classes/banana-recurrence")
 
 
 def test_polygon_class_fixed_q_values():
@@ -183,18 +172,8 @@ def test_chain_classes():
     assert gr.chain_banana_class_fixed_q(FamilySpec(1, 0, 2)) == (T**2 + T + 1) ** 2
 
 
-def test_chain_classes_match_oracle():
-    spec = FamilySpec(1, 1, 2)
-    from pottsmotive.multigraph import chain_polygons
-
-    z = tutte.tutte_delcon(chain_polygons(spec))
-    assert pointcount.fixed_q_class(z, spec.edge_count) == gr.chain_polygon_class_fixed_q(spec)
-
-    from pottsmotive.multigraph import chain_bananas
-
-    spec_b = FamilySpec(1, 0, 2)
-    zb = tutte.tutte_delcon(chain_bananas(spec_b))
-    assert pointcount.fixed_q_class(zb, spec_b.edge_count) == gr.chain_banana_class_fixed_q(spec_b)
+def test_chain_classes_match_oracle(run_checks):
+    run_checks("classes/chain-*-oracle")
 
 
 def test_fibration_reduce():
@@ -235,7 +214,10 @@ def test_join_against_oracle(triangle):
     assert gr.graph_class(looped) == gr.join_transform(base, "append-edge")
 
 
-def test_delcon_identity_check(loop, single_edge, two_banana, triangle):
-    for g in (loop, single_edge, two_banana, triangle):
-        for eid in g.edge_ids():
-            assert gr.delcon_identity_check(g, eid)
+def test_delcon_identity_check(run_checks):
+    run_checks(
+        "oracle/delcon-class/loop/*",
+        "oracle/delcon-class/edge/*",
+        "oracle/delcon-class/2-banana/*",
+        "oracle/delcon-class/triangle/*",
+    )

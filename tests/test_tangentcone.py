@@ -3,12 +3,7 @@ import pytest
 from pottsmotive import tangentcone as tc
 from pottsmotive.classpoly import T, RationalClass
 from pottsmotive.errors import InvalidArgumentError
-from pottsmotive.grothendieck import (
-    SplitSeeds,
-    split_closed_form,
-    split_closed_term,
-    split_recursion,
-)
+from pottsmotive.grothendieck import SplitSeeds
 from pottsmotive.mpoly import MPoly, Q, edge_var
 from pottsmotive.multigraph import EdgeKind, MultiGraph, banana, polygon
 from pottsmotive.tutte import forest_poly
@@ -40,19 +35,16 @@ def test_cone_poly_relations(triangle, square, path2, loop):
         assert y == forest_poly(g)
 
 
-def test_v_class_seeds(loop, two_banana, triangle):
-    assert tc.v_class(loop) == T * (T + 1)
-    assert tc.v_class(two_banana) == T**2 * (T + 1)
-    assert tc.v_class(triangle) == T * (T + 1) * (T**2 + T - 1)
+def test_v_class_seeds(run_checks):
+    run_checks("cone/polygon-seeds-oracle")
 
 
 def test_v_class_single_vertex():
     assert tc.v_class(MultiGraph(1, ())) == T
 
 
-def test_v_is_w_minus_y(loop, single_edge, two_banana, triangle, path2):
-    for g in (loop, single_edge, two_banana, triangle, path2):
-        assert tc.v_class(g) == tc.w_class(g) - tc.y_class(g)
+def test_v_is_w_minus_y(run_checks):
+    run_checks("cone/complement-difference/*")
 
 
 def test_cone_edge_rule(triangle):
@@ -91,23 +83,15 @@ def test_cone_split_check(triangle, two_banana, square):
         tc.cone_split_check(polygon(1), "1")
 
 
-def test_cone_recursion_v_matches_closed_form():
-    # the cone classes follow the full-class splitting recurrence
-    seeds = tc.POLYGON_CONE_SEEDS
-    for m in range(7):
-        assert split_recursion(seeds, m) == tc.polygon_cone_class(m)
-        assert split_closed_term(seeds, m) == tc.polygon_cone_class(m)
+def test_cone_recursion_v_matches_closed_form(run_checks):
+    run_checks(
+        "cone/polygon-closed-vs-recursion",
+        "classes/cone-closed-term-matches-recursion",
+    )
 
 
 def test_cone_v_oracle_square(square):
     assert tc.v_class(square) == tc.polygon_cone_class(3)
-
-
-def test_cone_closed_form_v_coefficients():
-    a, b, c = split_closed_form(tc.POLYGON_CONE_SEEDS)
-    assert a.as_class() == T - 1
-    assert b.as_class() == 2 * T**2
-    assert c.as_class() == -(T**2 - 1)
 
 
 def test_cone_recursion_y_against_oracle(loop):

@@ -47,9 +47,8 @@ def test_tutte_two_disjoint_edges(two_edges):
     assert tutte_poly(two_edges) == Q**2 * (Q + ta) * (Q + tb)
 
 
-def test_subset_and_delcon_agree(triangle, square, path2, two_edges, loop):
-    for g in (triangle, square, path2, two_edges, loop, banana(3)):
-        assert tutte_poly(g) == tutte_delcon(g)
+def test_subset_and_delcon_agree(run_checks):
+    run_checks("tutte/subset-vs-delcon/*")
 
 
 def _delcon_last_edge(g):
@@ -67,26 +66,20 @@ def test_delcon_pivot_order_irrelevant(triangle, square, path2, two_edges, loop)
         assert _delcon_last_edge(g) == tutte_delcon(g)
 
 
-def test_delcon_identity_every_edge(triangle, square, path2, loop, two_banana):
-    for g in (triangle, square, path2, loop, two_banana):
-        z = tutte_delcon(g)
-        for eid in g.edge_ids():
-            z_del = tutte_delcon(g.delete_edge(eid))
-            z_con = tutte_delcon(g.contract_edge(eid))
-            assert z == z_del + edge_var(eid) * z_con
+def test_delcon_identity_every_edge(run_checks):
+    run_checks("tutte/delcon-edge/*")
 
 
-def test_torus_identity(triangle, two_banana, path2):
-    for g in (triangle, two_banana, path2):
-        product = MPoly.const(1)
-        for eid in g.edge_ids():
-            product = product * (1 + edge_var(eid))
-        assert tutte_delcon(g).substitute("q", 1) == product
+def test_torus_identity(run_checks):
+    run_checks("tutte/torus-at-q1/*")
 
 
 def test_budget():
-    with pytest.raises(ResourceLimitError):
-        tutte_poly(banana(4), max_edges=3)
+    # one edge over the symbolic budget: every route refuses before building
+    g = banana(21)
+    for route in (tutte_poly, tutte_delcon, forest_poly):
+        with pytest.raises(ResourceLimitError, match="symbolic budget of 20"):
+            route(g)
 
 
 def test_normalized_tutte(single_edge, loop):
@@ -101,9 +94,8 @@ def test_forest_poly(triangle, single_edge, loop):
     assert forest_poly(loop) == MPoly.const(1)
 
 
-def test_forest_poly_routes_agree(triangle, square, path2, two_edges, loop):
-    for g in (triangle, square, path2, two_edges, loop, banana(3)):
-        assert forest_poly(g) == forest_poly_from_tutte(g)
+def test_forest_poly_routes_agree(run_checks):
+    run_checks("tutte/forest-poly-routes/*")
 
 
 def test_forest_complement_poly(triangle, single_edge, two_banana):
@@ -112,9 +104,8 @@ def test_forest_complement_poly(triangle, single_edge, two_banana):
     assert forest_complement_poly(two_banana) == T1 + T2
 
 
-def test_forest_complement_reversal(triangle, square, two_banana, path2):
-    for g in (triangle, square, two_banana, path2, banana(3)):
-        assert forest_complement_poly(g) == forest_complement_from_dual(g)
+def test_forest_complement_reversal(run_checks):
+    run_checks("tutte/complement-poly-routes/*")
 
 
 def test_leading_part(triangle, loop, two_banana):
@@ -125,12 +116,8 @@ def test_leading_part(triangle, loop, two_banana):
     assert leading_part(two_banana) == Q**2 + Q * (T1 + T2)
 
 
-def test_leading_part_properties(triangle, square, path2, two_edges):
-    for g in (triangle, square, path2, two_edges, banana(3)):
-        p = leading_part(g)
-        assert p.is_homogeneous()
-        assert p.total_degree() == g.vertex_count
-        assert p == leading_part_by_forests(g)
+def test_leading_part_properties(run_checks):
+    run_checks("tutte/leading-part-degree/*", "tutte/leading-part-forests/*")
 
 
 def test_reduced_leading_part(triangle, single_edge):
@@ -156,15 +143,8 @@ def test_connecting_split_simple(single_edge, two_banana):
     assert zn == Q**2
 
 
-def test_connecting_split_identities(triangle, square, two_banana, path2):
-    for g in (triangle, square, two_banana, path2):
-        for eid in g.edge_ids():
-            u, v = g.endpoints(eid)
-            if u == v:
-                continue
-            zc, zn = connecting_split(g, eid)
-            assert tutte_delcon(g.delete_edge(eid)) == zc + zn
-            assert Q * tutte_delcon(g.contract_edge(eid)) == Q * zc + zn
+def test_connecting_split_identities(run_checks):
+    run_checks("tutte/connecting-split/*")
 
 
 def test_connecting_split_rejects_loop(loop):
@@ -189,13 +169,8 @@ def test_doubling_residual_poly(triangle, single_edge, loop):
     assert doubling_residual_poly(loop, "1").is_zero
 
 
-def test_doubling_residual_matches_split(triangle, square, two_banana):
-    for g in (triangle, square, two_banana):
-        for eid in g.edge_ids():
-            _, zn = connecting_split(g, eid)
-            assert doubling_residual_poly(g, eid) == (
-                Q - 1
-            ) * zn.divide_exact_by_q_power(1)
+def test_doubling_residual_matches_split(run_checks):
+    run_checks("tutte/connecting-split/*")
 
 
 # ids deliberately out of canonical variable order, with the suffixes that
