@@ -21,10 +21,6 @@ leaves root counts of affine forms and of one quadratic: A*D - B*C for
 A + B*y + C*z + D*y*z, and the resultant C*B - A*D for the pair A + B*z,
 C + D*z.  Each is exact in O(1).  The quadratic is counted with Euler's
 criterion, so the modulus must be prime.
-
-The compiled twin in _countcore.pyx has only the one-polynomial,
-two-variable exit: it gives the same answers but visits more nodes.  Whether
-it is kept is the kernel decision gate in ROADMAP.md.
 """
 
 

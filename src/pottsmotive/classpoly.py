@@ -8,7 +8,6 @@ c(p - 1) points over the field with p elements.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import ExactDivisionError, InvalidArgumentError
@@ -136,32 +135,33 @@ class ClassPoly:
             return self
         return ClassPoly((0,) * k + self.coeffs)
 
-    def divmod(self, divisor: "ClassPoly") -> tuple["ClassPoly", "ClassPoly"]:
-        """Polynomial division over the rationals; (quotient, remainder)."""
+    def divexact(self, divisor: "ClassPoly") -> "ClassPoly":
+        """Exact quotient in integer polynomials; raises if a step of the long
+        division is not divisible by the leading coefficient or a remainder
+        is left."""
         if divisor.is_zero:
             raise InvalidArgumentError("division by the zero class")
-        rem = [Fraction(c) for c in self.coeffs]
-        dcs = [Fraction(c) for c in divisor.coeffs]
+        rem = list(self.coeffs)
+        dcs = divisor.coeffs
         dd = len(dcs) - 1
         lead = dcs[-1]
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
+        quo = [0] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
-            f = rem[i] / lead
+            f, r = divmod(rem[i], lead)
+            if r:
+                raise ExactDivisionError(
+                    f"({self}) is not divisible by ({divisor}) over the integers"
+                )
             if f:
                 quo[i - dd] = f
                 for j, dc in enumerate(dcs):
                     rem[i - dd + j] -= f * dc
-        return _from_fractions(quo), _from_fractions(rem)
-
-    def divexact(self, divisor: "ClassPoly") -> "ClassPoly":
-        """Exact quotient; raises if the division leaves a remainder or a
-        non-integer coefficient."""
-        quo, rem = self.divmod(divisor)
-        if not rem.is_zero:
+        if any(rem):
             raise ExactDivisionError(
-                f"({self}) is not divisible by ({divisor}): remainder {rem}"
+                f"({self}) is not divisible by ({divisor}): "
+                f"remainder {ClassPoly(rem)}"
             )
-        return quo
+        return ClassPoly(quo)
 
     # -- rendering ---------------------------------------------------------------
 
@@ -191,16 +191,6 @@ class ClassPoly:
 
     def __repr__(self) -> str:
         return f"ClassPoly<{self.render()}>"
-
-
-def _from_fractions(fracs) -> ClassPoly:
-    cs = list(fracs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    for c in cs:
-        if c.denominator != 1:
-            raise ExactDivisionError(f"non-integer coefficient {c} in exact division")
-    return ClassPoly([int(c) for c in cs])
 
 
 T = ClassPoly.monomial(1)
@@ -250,8 +240,8 @@ class RationalClass:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    # equal ratios need not share a numerator and denominator
+    __hash__ = None
 
     def __str__(self) -> str:
         if self.is_polynomial:

@@ -267,12 +267,17 @@ def chain_bananas(spec: FamilySpec) -> MultiGraph:
 
 
 def disjoint_union(g1: MultiGraph, g2: MultiGraph, suffix: str = "b") -> MultiGraph:
-    """Side-by-side union; ids of the second graph get a suffix on collision."""
+    """Side-by-side union; an id of the second graph that collides gets the
+    suffix appended until it is free."""
+    if not suffix:
+        raise InvalidParameterError("the renaming suffix must be nonempty")
     shift = g1.vertex_count
     taken = set(g1.edge_ids())
     edges = list(g1.edges)
     for eid, u, v in g2.edges:
-        name = eid if eid not in taken else eid + suffix
+        name = eid
+        while name in taken:
+            name += suffix
         taken.add(name)
         edges.append((name, u + shift, v + shift))
     return MultiGraph(g1.vertex_count + g2.vertex_count, tuple(edges))

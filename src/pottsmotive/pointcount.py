@@ -10,9 +10,8 @@ polynomial at T = p - 1, so exact Lagrange interpolation through counts at
 enough primes recovers the class, and a reserved check prime plus an
 integrality check guard against non-polynomial counts.
 
-The compiled kernel is used when the extension built; set POTTS_PURE=1 to
-force the pure-Python twin.  POTTS_BUDGET caps the nominal enumeration size
-p^d per count (default 10^8).
+POTTS_BUDGET caps the nominal enumeration size p^d per count (default
+10^8).
 """
 
 from __future__ import annotations
@@ -31,26 +30,16 @@ from .errors import (
 )
 from .mpoly import MPoly, var_sort_key
 
-try:  # pragma: no cover - exercised implicitly by backend selection
-    from . import _countcore
-except ImportError:  # pragma: no cover
-    _countcore = None
-
 DEFAULT_BUDGET = 10**8
 PRIME_LADDER = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# the compiled kernel keeps every product of two residues in 64 bits
+# bounds the trial division that checks a prime given from outside: a
+# dimension-0 count enumerates one point, so POTTS_BUDGET never bounds it
 MAX_PRIME = 2**31
 
 
 def kernel_backend() -> str:
-    """Which kernel actually counts: "compiled" or "pure"."""
-    if os.environ.get("POTTS_PURE") == "1" or _countcore is None:
-        return "pure"
-    return "compiled"
-
-
-def _kernel():
-    return _countpure if kernel_backend() == "pure" else _countcore
+    """The kernel that counts: always "pure", the one kernel there is."""
+    return "pure"
 
 
 def _budget() -> int:
@@ -118,7 +107,8 @@ def count_zero_locus(
         raise InvalidArgumentError(
             f"{len(names)} variables do not fit in ambient dimension {ambient_dim}"
         )
-    zeros = _kernel().count_common_zeros(dense, len(names), prime)
+    # through the module attribute, so a wrapper rebound there sees every call
+    zeros = _countpure.count_common_zeros(dense, len(names), prime)
     return zeros * prime ** (ambient_dim - len(names))
 
 
@@ -192,8 +182,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_primes(primes: Iterable[int]) -> None:
-    """Refuse anything but primes the kernels can count over: their closed
-    forms need a field, and the compiled kernel needs residues below 2^31."""
+    """Refuse anything but primes below MAX_PRIME: the kernel's closed forms
+    need a field, and the cap is tested first so that trial division stays
+    short."""
     bad = [p for p in primes if not (p < MAX_PRIME and _is_prime(p))]
     if bad:
         raise InvalidArgumentError(f"{bad} are not primes below 2^31")

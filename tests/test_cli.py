@@ -249,8 +249,19 @@ def test_count_composite_check_prime_exit_2(runner):
 
 
 def test_count_prime_beyond_kernel_range_exit_2(runner):
-    # 2^31 + 11 is prime, but residue products would overflow the kernel
+    # 2^31 + 11 is prime, but above MAX_PRIME, the cap on trial division
     result = _count(runner, "--check", "2147483659")
+    assert result.exit_code == 2
+    assert "below 2^31" in result.output
+
+
+def test_count_dimension_0_huge_prime_exit_2(runner, tmp_path):
+    # no budget bounds a dimension-0 count, so only the cap keeps trial
+    # division from running about 1.5e9 steps on the prime 2^61 - 1
+    path = tmp_path / "point.txt"
+    path.write_text("V 1\n")
+    args = ["--q", "5", "--primes", "2305843009213693951", "--check", "3"]
+    result = runner.invoke(cli, ["count", "--file", str(path), *args])
     assert result.exit_code == 2
     assert "below 2^31" in result.output
 

@@ -1,5 +1,5 @@
-"""Differential tests of the two counting kernels against each other and
-against a plain full enumeration."""
+"""Differential tests of the counting kernel against a plain full
+enumeration."""
 
 import itertools
 
@@ -9,14 +9,8 @@ from hypothesis import strategies as st
 
 from pottsmotive import _countpure
 
-try:
-    from pottsmotive import _countcore
-except ImportError:
-    _countcore = None
-
-KERNELS = [pytest.param(_countpure, id="pure")]
-if _countcore is not None:
-    KERNELS.append(pytest.param(_countcore, id="compiled"))
+# the one kernel, under the backend name that the test ids have always carried
+KERNEL = pytest.mark.parametrize("kernel", [_countpure], ids=["pure"])
 
 
 def brute_force(polys, nvars, prime):
@@ -68,13 +62,13 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@KERNEL
 @pytest.mark.parametrize("polys,nvars,prime,expected", CASES)
 def test_fixed_cases(kernel, polys, nvars, prime, expected):
     assert kernel.count_common_zeros(polys, nvars, prime) == expected
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@KERNEL
 def test_mismatched_shape_rejected(kernel):
     with pytest.raises(ValueError):
         kernel.count_common_zeros([((2,), [0, 1])], 2, 3)
@@ -103,8 +97,6 @@ def test_kernels_match_brute_force(data):
     polys = [data.draw(dense_polys(nvars)) for _ in range(npolys)]
     expected = brute_force(polys, nvars, prime)
     assert _countpure.count_common_zeros(polys, nvars, prime) == expected
-    if _countcore is not None:
-        assert _countcore.count_common_zeros(polys, nvars, prime) == expected
 
 
 # The closed-form leaves.  A three-variable polynomial is laid out as
@@ -134,7 +126,7 @@ LEAF_CASES = [
 ]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@KERNEL
 @pytest.mark.parametrize("polys,nvars,prime,expected", LEAF_CASES)
 def test_leaf_closed_forms(kernel, polys, nvars, prime, expected):
     assert brute_force(polys, nvars, prime) == expected
@@ -166,5 +158,3 @@ def test_multilinear_systems_match_brute_force(data):
     polys = [data.draw(multilinear_polys(nvars)) for _ in range(npolys)]
     expected = brute_force(polys, nvars, prime)
     assert _countpure.count_common_zeros(polys, nvars, prime) == expected
-    if _countcore is not None:
-        assert _countcore.count_common_zeros(polys, nvars, prime) == expected

@@ -2,7 +2,7 @@ import pytest
 
 from pottsmotive import grothendieck as gr
 from pottsmotive import pointcount, tutte
-from pottsmotive.classpoly import T, ZERO, ClassPoly, RationalClass
+from pottsmotive.classpoly import ONE, T, ZERO, ClassPoly, RationalClass
 from pottsmotive.errors import ExactDivisionError, InvalidArgumentError
 from pottsmotive.multigraph import FamilySpec, banana, disjoint_union, polygon
 
@@ -27,6 +27,9 @@ def test_div_exact_examples():
     assert ((T - 1) ** 3 - ClassPoly.const(-1)).divexact(T) == T**2 - 3 * T + 3
     with pytest.raises(ExactDivisionError):
         (T**2 + 1).divexact(T - 1)
+    assert (2 * T + 2).divexact(ClassPoly.const(2)) == T + 1
+    with pytest.raises(ExactDivisionError):
+        T.divexact(2 * T)
 
 
 def test_eval_int():
@@ -42,6 +45,11 @@ def test_rational_class():
     with pytest.raises(ExactDivisionError):
         nonpoly.as_class()
     assert RationalClass(T * (T - 1), T) == RationalClass(T - 1)
+    # equal, but stored over different denominators: a hash of the stored
+    # fields would differ
+    assert RationalClass(ONE, T) == RationalClass(T + 1, T * (T + 1))
+    with pytest.raises(TypeError):
+        hash(RationalClass(ONE, T))
 
 
 # -- seed classes and one-step formulas -------------------------------------------

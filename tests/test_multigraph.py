@@ -201,6 +201,16 @@ def test_disjoint_union(single_edge):
     assert len(set(g.edge_ids())) == 2
 
 
+def test_disjoint_union_renames_until_free():
+    # "1" collides with g1, and its renaming "1b" with an id of g2 itself
+    g1 = MultiGraph(2, (("1", 0, 1),))
+    g2 = MultiGraph(2, (("1b", 0, 1), ("1", 0, 1)))
+    g = disjoint_union(g1, g2)
+    assert g.edge_ids() == ("1", "1b", "1bb")
+    with pytest.raises(InvalidParameterError):
+        disjoint_union(g1, g2, suffix="")
+
+
 def test_edge_list_round_trip(triangle):
     text = format_edge_list(triangle)
     assert text.splitlines()[0] == "V 3"

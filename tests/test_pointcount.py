@@ -1,5 +1,6 @@
 import pytest
 
+from pottsmotive import _countpure
 from pottsmotive.classpoly import T, ClassPoly
 from pottsmotive.errors import (
     InvalidArgumentError,
@@ -27,7 +28,21 @@ LOOP_Z = Q + Q * T1
 
 
 def test_backend_reports_something():
-    assert kernel_backend() in ("pure", "compiled")
+    assert kernel_backend() == "pure"
+
+
+def test_kernel_looked_up_through_module_attribute(monkeypatch):
+    # benchmark tracing wraps the kernel by rebinding this attribute
+    calls = []
+    kernel = _countpure.count_common_zeros
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_countpure, "count_common_zeros", counting)
+    assert count_complement(LOOP_Z, 2, 3) == 4
+    assert len(calls) == 1
 
 
 def test_count_complement_loop():
@@ -93,7 +108,7 @@ def test_budget_env(monkeypatch):
 
 @pytest.mark.parametrize("modulus", [4, 9, 1, 0, -3, 2**31 + 11])
 def test_non_prime_modulus_rejected(modulus):
-    # 2^31 + 11 is prime but beyond the compiled kernel's residue range
+    # 2^31 + 11 is prime but above MAX_PRIME, the cap on trial division
     with pytest.raises(InvalidArgumentError, match="not primes below 2"):
         count_complement(LOOP_Z, 2, modulus)
     with pytest.raises(InvalidArgumentError, match="not primes below 2"):
