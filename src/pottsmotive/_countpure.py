@@ -1,12 +1,19 @@
 """Pure-Python point-counting kernel.
 
-Counts the common zeros of a system of integer polynomials over the prime
-field F_p by specializing one variable at a time, outermost first.  A
+Counts the common zeros of a system of integer polynomials over a finite
+field F_q by specializing one variable at a time, outermost first.  A
 polynomial is dense: a pair (shape, coeffs) where shape[i] is 1 + the degree
 in variable i and coeffs is the flat row-major coefficient list (last
 variable fastest, so flat index = e0*prod(shape[1:]) + ...).
 
-Early exits keep the recursion far below p^nvars nodes in practice:
+The supported fields are F_p for a prime p and F_4, F_8 and F_9.  An element
+of F_q is an int in range(q) whose base-p digits are its coefficients in
+F_p[x]/(m(x)), lowest first, so 0 and 1 are the field's zero and one and an
+integer coefficient c is the element c % p.  Every field up to F_37 does its
+arithmetic by table lookup (see Field); a larger prime field computes the
+same rows with %.  One recursion and one set of leaves serve every field.
+
+Early exits keep the recursion far below q^nvars nodes in practice:
   - a polynomial that reduces to a nonzero constant kills its branch,
   - a polynomial that vanishes identically stops constraining the branch,
   - a single polynomial of degree <= 1 in each of the last two or three
@@ -16,53 +23,197 @@ Early exits keep the recursion far below p^nvars nodes in practice:
 
 The closed forms are linear-variable elimination at the leaves: a
 polynomial of degree <= 1 in z is A + B*z, which has one zero in z where
-B != 0, and none or p where B == 0.  Summing over the remaining variables
+B != 0, and none or q where B == 0.  Summing over the remaining variables
 leaves root counts of affine forms and of one quadratic: A*D - B*C for
 A + B*y + C*z + D*y*z, and the resultant C*B - A*D for the pair A + B*z,
-C + D*z.  Each is exact in O(1).  The quadratic is counted with Euler's
-criterion, so the modulus must be prime.
+C + D*z.  Each is exact in O(1), in any field.
 """
 
+import itertools
+from dataclasses import dataclass
+from functools import cache
+from typing import Sequence
 
-def count_common_zeros(polys, nvars, prime):
-    """Number of points of F_p^nvars at which every polynomial vanishes."""
+# F_{p^k} = F_p[x]/(x^k + m(x)): p and the coefficients of m, lowest first
+EXTENSIONS = {
+    4: (2, (1, 1)),  # x^2 + x + 1
+    8: (2, (1, 1, 0)),  # x^3 + x + 1
+    9: (3, (1, 0)),  # x^2 + 1
+}
+# the largest field whose operations are tables
+TABLE_MAX = 37
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Field:
+    """F_q as operation tables over the elements range(q): add[a][b] is
+    a + b, mul[a][b] is a*b, neg[a] is -a, inv[a] is 1/a (a != 0), and
+    roots[b][c] is the number of roots of x^2 + b*x + c."""
+
+    size: int
+    char: int
+    add: Sequence
+    mul: Sequence
+    neg: Sequence
+    inv: Sequence
+    roots: Sequence
+
+
+def field(q):
+    """The field with q elements: tables up to TABLE_MAX, built on first
+    use, and above it a prime field whose rows compute with % (q is taken
+    to be prime there; the caller checks)."""
+    if q <= TABLE_MAX:
+        return _table_field(q)
+    return _modular_field(q)
+
+
+@cache
+def _table_field(q):
+    if q in EXTENSIONS:
+        p, low = EXTENSIONS[q]
+    elif q >= 2 and all(q % d for d in range(2, q)):
+        p, low = q, ()
+    else:
+        raise ValueError(f"no field with {q} elements is supported")
+    if low:
+        add, mul, neg = _extension_tables(q, p, low)
+    else:
+        add = [[(a + b) % p for b in range(q)] for a in range(q)]
+        mul = [[a * b % p for b in range(q)] for a in range(q)]
+        neg = [-a % p for a in range(q)]
+    inv = [0] + [mul[a].index(1) for a in range(1, q)]
+    roots = [[0] * q for _ in range(q)]
+    for x in range(q):
+        square = mul[x][x]
+        for b in range(q):
+            roots[b][neg[add[square][mul[b][x]]]] += 1
+    return Field(q, p, add, mul, neg, inv, roots)
+
+
+def _extension_tables(q, p, low):
+    """add, mul and neg of F_p[x]/(x^k + m(x)), m given by its coefficients
+    low, on elements numbered by their base-p digits."""
+    k = len(low)
+    digits = [[e // p**i % p for i in range(k)] for e in range(q)]
+
+    def element(cs):
+        return sum(c % p * p**i for i, c in enumerate(cs))
+
+    def product(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(digits[a]):
+            for j, y in enumerate(digits[b]):
+                prod[i + j] += x * y
+        for t in range(2 * k - 2, k - 1, -1):  # x^k = -m(x)
+            for i, m in enumerate(low):
+                prod[t - k + i] -= prod[t] * m
+        return element(prod[:k])
+
+    add = [[element(map(sum, zip(digits[a], digits[b]))) for b in range(q)] for a in range(q)]
+    mul = [[product(a, b) for b in range(q)] for a in range(q)]
+    neg = [element(-c for c in digits[a]) for a in range(q)]
+    return add, mul, neg
+
+
+class _Computed:
+    """An operation table of F_p computed on access: table[a] is fn(a), for
+    a binary operation the row with row[b] == op(a, b)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        return self.fn(a)
+
+
+def _modular_field(p):
+    def binary(op):
+        return _Computed(lambda a: _Computed(lambda b: op(a, b) % p))
+
+    def roots(b, c):  # Euler's criterion on the discriminant; p is odd
+        disc = (b * b - 4 * c) % p
+        if not disc:
+            return 1
+        return 2 if pow(disc, (p - 1) // 2, p) == 1 else 0
+
+    return Field(
+        p,
+        p,
+        binary(int.__add__),
+        binary(int.__mul__),
+        _Computed(lambda a: -a % p),
+        _Computed(lambda a: pow(a, -1, p)),
+        _Computed(lambda b: _Computed(lambda c: roots(b, c))),
+    )
+
+
+def count_common_zeros(polys, nvars, q):
+    """Number of points of F_q^nvars at which every polynomial vanishes."""
+    F = field(q)
     active = []
     for shape, coeffs in polys:
         if len(shape) != nvars:
             raise ValueError("polynomial shape does not match the variable count")
-        reduced = [c % prime for c in coeffs]
+        reduced = [c % F.char for c in coeffs]
         if any(reduced):
             active.append((tuple(shape), reduced))
     if not active:
-        return prime**nvars
-    return _count(active, nvars, prime)
+        return q**nvars
+    return _count(active, nvars, F)
 
 
-def _count(polys, nvars, prime):
+def brute_force(polys, nvars, q):
+    """The reference counter: every polynomial evaluated at every point of
+    F_q^nvars, with no early exit and no closed form."""
+    F = field(q)
+    add, mul = F.add, F.mul
+    systems = []
+    for shape, coeffs in polys:
+        exponents = itertools.product(*(range(extent) for extent in shape))
+        systems.append([(c % F.char, e) for c, e in zip(coeffs, exponents) if c % F.char])
+    count = 0
+    for point in itertools.product(range(q), repeat=nvars):
+        for terms in systems:
+            total = 0
+            for c, exps in terms:
+                for v, e in zip(point, exps):
+                    for _ in range(e):
+                        c = mul[c][v]
+                total = add[total][c]
+            if total:
+                break
+        else:
+            count += 1
+    return count
+
+
+def _count(polys, nvars, F):
+    q = F.size
     for _, coeffs in polys:
         if len(coeffs) == 1:
             return 0  # nonzero constant: this branch has no common zero
     if len(polys) == 1:
         shape, coeffs = polys[0]
         if nvars == 1:
-            return _univariate_zeros(coeffs, prime)
+            return _univariate_zeros(coeffs, F)
         if nvars <= 3 and max(shape) <= 2:
             c = _multilinear(shape, coeffs)
             if nvars == 2:
-                return _bilinear_zeros(c, prime)
-            return _trilinear_zeros(c, prime)
+                return _bilinear_zeros(c, F)
+            return _trilinear_zeros(c, F)
     elif len(polys) == 2 and nvars == 2:
         (s1, c1), (s2, c2) = polys
         if max(s1) <= 2 and max(s2) <= 2:
-            return _bilinear_pair_zeros(
-                _multilinear(s1, c1), _multilinear(s2, c2), prime
-            )
+            return _bilinear_pair_zeros(_multilinear(s1, c1), _multilinear(s2, c2), F)
     total = 0
-    for v in range(prime):
+    for v in range(q):
         branch = []
         dead = False
         for shape, coeffs in polys:
-            spec = _specialize(shape, coeffs, v, prime)
+            spec = _specialize(shape, coeffs, v, F)
             if spec is None:
                 continue  # vanished: no longer a constraint
             if len(spec[1]) == 1:
@@ -72,37 +223,40 @@ def _count(polys, nvars, prime):
         if dead:
             continue
         if branch:
-            total += _count(branch, nvars - 1, prime)
+            total += _count(branch, nvars - 1, F)
         else:
-            total += prime ** (nvars - 1)
+            total += q ** (nvars - 1)
     return total
 
 
-def _specialize(shape, coeffs, v, prime):
+def _specialize(shape, coeffs, v, F):
     """Set the first variable to v; None when the result is identically 0."""
     d0 = shape[0]
     rest = shape[1:]
     if d0 == 1:
         return (rest, coeffs)  # shared, read-only
     block = len(coeffs) // d0
-    out = list(coeffs[(d0 - 1) * block : d0 * block])
+    add, times_v = F.add, F.mul[v]
+    out = coeffs[(d0 - 1) * block : d0 * block]
     for i in range(d0 - 2, -1, -1):
         base = i * block
         for j in range(block):
-            out[j] = (out[j] * v + coeffs[base + j]) % prime
+            out[j] = add[times_v[out[j]]][coeffs[base + j]]
     if any(out):
         return (rest, out)
     return None
 
 
-def _univariate_zeros(coeffs, prime):
+def _univariate_zeros(coeffs, F):
+    add, mul = F.add, F.mul
     top = len(coeffs) - 1
     count = 0
-    for v in range(prime):
+    for v in range(F.size):
+        times_v = mul[v]
         acc = coeffs[top]
         for i in range(top - 1, -1, -1):
-            acc = (acc * v + coeffs[i]) % prime
-        if acc == 0:
+            acc = add[times_v[acc]][coeffs[i]]
+        if not acc:
             count += 1
     return count
 
@@ -126,107 +280,110 @@ def _multilinear(shape, coeffs):
     return out
 
 
-def _affine_common_roots(forms, prime):
-    """Number of x in F_p at which every c0 + c1*x in forms vanishes."""
+def _root(F, c0, c1):
+    """The root of c0 + c1*x, c1 != 0."""
+    return F.mul[F.neg[c0]][F.inv[c1]]
+
+
+def _affine_common_roots(forms, F):
+    """Number of x in F_q at which every c0 + c1*x in forms vanishes."""
     for c0, c1 in forms:
         if c1:
-            x = -c0 * pow(c1, -1, prime)
+            x = _root(F, c0, c1)
             for a0, a1 in forms:
-                if (a0 + a1 * x) % prime:
+                if F.add[a0][F.mul[a1][x]]:
                     return 0
             return 1
     for c0, _ in forms:
         if c0:
             return 0
-    return prime
+    return F.size
 
 
-def _quadratic_roots(c0, c1, c2, prime):
-    """Number of x in F_p with c0 + c1*x + c2*x^2 == 0 (p prime)."""
-    c0 %= prime
-    c1 %= prime
-    c2 %= prime
+def _quadratic_roots(c0, c1, c2, F):
+    """Number of x in F_q with c0 + c1*x + c2*x^2 == 0."""
     if not c2:
-        return _affine_common_roots([(c0, c1)], prime)
-    if prime == 2:
-        return (c0 == 0) + ((c0 + c1 + c2) % 2 == 0)
-    disc = (c1 * c1 - 4 * c2 * c0) % prime
-    if not disc:
-        return 1
-    return 2 if pow(disc, (prime - 1) // 2, prime) == 1 else 0
+        return _affine_common_roots([(c0, c1)], F)
+    s = F.inv[c2]
+    return F.roots[F.mul[c1][s]][F.mul[c0][s]]
 
 
-def _bilinear_zeros(f, prime):
-    """Zeros of A(x) + B(x)*y over F_p^2, A and B affine, in O(1): one y
-    where B != 0, and p where A == B == 0."""
+def _bilinear_zeros(f, F):
+    """Zeros of A(x) + B(x)*y over F_q^2, A and B affine, in O(1): one y
+    where B != 0, and q where A == B == 0."""
     a0, b0, a1, b1 = f
+    q = F.size
     if b1:  # B vanishes at exactly one x
-        x = -b0 * pow(b1, -1, prime)
-        return (prime - 1) + (prime if (a0 + a1 * x) % prime == 0 else 0)
+        x = _root(F, b0, b1)
+        return (q - 1) + (0 if F.add[a0][F.mul[a1][x]] else q)
     if b0:
-        return prime
-    return prime * _affine_common_roots([(a0, a1)], prime)
+        return q
+    return q * _affine_common_roots([(a0, a1)], F)
 
 
-def _trilinear_zeros(f, prime):
-    """Zeros of A + B*y + C*z + D*y*z over F_p^3, A..D affine in x, in O(1).
+def _trilinear_zeros(f, F):
+    """Zeros of A + B*y + C*z + D*y*z over F_q^3, A..D affine in x, in O(1).
 
-    Where D(x) != 0 the (y, z) slice has p - 1 zeros, plus p when
+    Where D(x) != 0 the (y, z) slice has q - 1 zeros, plus q when
     Q = A*D - B*C vanishes at x.  Where D(x) == 0, so that Q = -B*C, it has
-    p unless B == C == 0, and then p^2 or none as A vanishes or not.
+    q unless B == C == 0, and then q^2 or none as A vanishes or not.
     Summing over x, with nd, ndb, ndc and nall the numbers of x at which
     D, D and B, D and C, and all four vanish, gives
-    (p - nd)(p - 1) + p(#roots of Q - ndb - ndc + nd) + p^2 nall."""
+    (q - nd)(q - 1) + q(#roots of Q - ndb - ndc + nd) + q^2 nall."""
     a0, c0, b0, d0, a1, c1, b1, d1 = f
-    q = _quadratic_roots(
-        a0 * d0 - b0 * c0,
-        a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0,
-        a1 * d1 - b1 * c1,
-        prime,
+    q = F.size
+    add, mul, neg = F.add, F.mul, F.neg
+    nq = _quadratic_roots(
+        add[mul[a0][d0]][neg[mul[b0][c0]]],
+        add[add[mul[a0][d1]][mul[a1][d0]]][neg[add[mul[b0][c1]][mul[b1][c0]]]],
+        add[mul[a1][d1]][neg[mul[b1][c1]]],
+        F,
     )
     if d1:  # D vanishes at exactly one x
-        x = -d0 * pow(d1, -1, prime)
-        a = (a0 + a1 * x) % prime
-        b = (b0 + b1 * x) % prime
-        c = (c0 + c1 * x) % prime
+        x = _root(F, d0, d1)
+        a = add[a0][mul[a1][x]]
+        b = add[b0][mul[b1][x]]
+        c = add[c0][mul[c1][x]]
         nd, ndb, ndc, nall = 1, b == 0, c == 0, not (a or b or c)
     elif d0:  # D never vanishes
-        return prime * (prime - 1 + q)
+        return q * (q - 1 + nq)
     else:  # D vanishes identically
-        nd = prime
-        ndb = _affine_common_roots([(b0, b1)], prime)
-        ndc = _affine_common_roots([(c0, c1)], prime)
-        nall = _affine_common_roots([(a0, a1), (b0, b1), (c0, c1)], prime)
-    return (prime - nd) * (prime - 1) + prime * (q - ndb - ndc + nd + prime * nall)
+        nd = q
+        ndb = _affine_common_roots([(b0, b1)], F)
+        ndc = _affine_common_roots([(c0, c1)], F)
+        nall = _affine_common_roots([(a0, a1), (b0, b1), (c0, c1)], F)
+    return (q - nd) * (q - 1) + q * (nq - ndb - ndc + nd + q * nall)
 
 
-def _bilinear_pair_zeros(f, g, prime):
-    """Common zeros of A + B*z and C + D*z over F_p^2, A..D affine in y, in
+def _bilinear_pair_zeros(f, g, F):
+    """Common zeros of A + B*z and C + D*z over F_q^2, A..D affine in y, in
     O(1).
 
     Where B(y) != 0 the one zero z of the first is a common zero iff the
     resultant R = C*B - A*D vanishes at y.  Where B(y) == 0, so that
-    R = -A*D, there is one common z if A == 0 != D, and p if
+    R = -A*D, there is one common z if A == 0 != D, and q if
     A == C == D == 0.  Summing over y gives
-    #roots of R - #{B == D == 0} + p #{A == B == C == D == 0}."""
+    #roots of R - #{B == D == 0} + q #{A == B == C == D == 0}."""
     a0, b0, a1, b1 = f
     c0, d0, c1, d1 = g
+    q = F.size
+    add, mul, neg = F.add, F.mul, F.neg
     r = _quadratic_roots(
-        c0 * b0 - a0 * d0,
-        c0 * b1 + c1 * b0 - a0 * d1 - a1 * d0,
-        c1 * b1 - a1 * d1,
-        prime,
+        add[mul[c0][b0]][neg[mul[a0][d0]]],
+        add[add[mul[c0][b1]][mul[c1][b0]]][neg[add[mul[a0][d1]][mul[a1][d0]]]],
+        add[mul[c1][b1]][neg[mul[a1][d1]]],
+        F,
     )
     if b1:  # B vanishes at exactly one y
-        y = -b0 * pow(b1, -1, prime)
-        a = (a0 + a1 * y) % prime
-        c = (c0 + c1 * y) % prime
-        d = (d0 + d1 * y) % prime
-        return r - (d == 0) + (prime if not (a or c or d) else 0)
+        y = _root(F, b0, b1)
+        a = add[a0][mul[a1][y]]
+        c = add[c0][mul[c1][y]]
+        d = add[d0][mul[d1][y]]
+        return r - (d == 0) + (q if not (a or c or d) else 0)
     if b0:  # B never vanishes
         return r
     return (
         r
-        - _affine_common_roots([(d0, d1)], prime)
-        + prime * _affine_common_roots([(a0, a1), (c0, c1), (d0, d1)], prime)
+        - _affine_common_roots([(d0, d1)], F)
+        + q * _affine_common_roots([(a0, a1), (c0, c1), (d0, d1)], F)
     )

@@ -18,6 +18,7 @@ import click
 
 from . import grothendieck as gr
 from . import motivic, pointcount, tangentcone, tutte, verify
+from .classpoly import T
 from .errors import (
     EdgeNotFoundError,
     ExactDivisionError,
@@ -154,13 +155,14 @@ def _family_class(family, m, k, n, fixed_q):
     if family == "banana":
         return gr.banana_class_fixed_q(m) if fixed_q else gr.banana_class(m)
     spec = FamilySpec(m, k, n)
-    if not fixed_q:
-        raise click.UsageError(
-            "chained families only have a fixed-q closed form; pass --fixed-q"
-        )
     if family == "chain-polygon":
-        return gr.chain_polygon_class_fixed_q(spec)
-    return gr.chain_banana_class_fixed_q(spec)
+        fixed = gr.chain_polygon_class_fixed_q(spec)
+    else:
+        fixed = gr.chain_banana_class_fixed_q(spec)
+    if fixed_q:
+        return fixed
+    # fibration_reduce inverted: {Z_G} = T^E + (T - 1) {fixed-q}
+    return T**spec.edge_count + (T - 1) * fixed
 
 
 def _oracle_dim(g: MultiGraph, q0=None, primes=None, check_prime=None) -> int:
@@ -288,12 +290,23 @@ def cmd_chi(family, m_grid, k_grid, n_grid, fmt):
 @click.option("--m", type=int, default=None)
 @click.option("--k", type=int, default=0)
 @click.option("--N", "n", type=int, default=1)
-@click.option("--primes", default=None, help="Comma-separated sample primes.")
-@click.option("--check", "check_prime", type=int, default=None, help="Reserved check prime.")
+@click.option(
+    "--primes",
+    default=None,
+    help="Comma-separated sample field sizes: primes below 2^31, or 4, 8, 9.",
+)
+@click.option(
+    "--check",
+    "check_prime",
+    type=int,
+    default=None,
+    help="Size of the reserved check field, a prime or 4, 8, 9.",
+)
 @click.option("--q", "q0", type=int, default=None, help="Count the fixed-q slice at this q.")
 @_exits
 def cmd_count(file, family, m, k, n, primes, check_prime, q0):
-    """Count complement points over sample primes and interpolate the class."""
+    """Count complement points over the sample fields and interpolate the
+    class."""
     g = _input_graph(file, family, m, k, n)
     sample_primes = _parse_primes(primes) if primes else None
     dim = _oracle_dim(g, q0, sample_primes, check_prime)

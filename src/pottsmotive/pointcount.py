@@ -1,24 +1,31 @@
 """Finite-field point counting and exact interpolation of Grothendieck
 classes.
 
-Counting specializes one variable at a time over F_p and finishes the last
+Counting specializes one variable at a time over F_q and finishes the last
 few variables in closed form (root counts of affine and quadratic forms, see
-the kernel modules); it consults no class formula of the package and is
-therefore the verification oracle.  For a variety whose class is a
-polynomial in the torus class T, the number of F_p points equals that
-polynomial at T = p - 1, so exact Lagrange interpolation through counts at
-enough primes recovers the class, and a reserved check prime plus an
-integrality check guard against non-polynomial counts.
+the kernel module); it consults no class formula of the package and is
+therefore the verification oracle.  The supported fields are F_p for a prime
+p below MAX_PRIME and F_4, F_8 and F_9; counts are sampled at the field sizes
+of FIELD_LADDER.
 
-POTTS_BUDGET caps the nominal enumeration size p^d per count (default
-10^8).
+For a polynomial-count variety, whose class is a polynomial in the torus
+class T, the number of F_q points equals that polynomial at T = q - 1 for
+every prime power q (Katz, appendix to Hausel and Rodriguez-Villegas,
+arXiv:math/0612668).  The complement of a proper subvariety of A^d has
+class T^d plus terms of lower degree, so d samples fix it: the counts minus
+q^d are fitted by Newton divided differences in exact integers.  Graph
+hypersurfaces need not be polynomial-count (Belkale and Brosnan,
+arXiv:math/0012198), so a reserved check field and the exactness of every
+division guard the fit.
+
+POTTS_BUDGET caps the nominal enumeration size q^d per count and the sum of
+q^d over the sample and check fields of a report (default 10^8).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import _countpure
@@ -31,7 +38,8 @@ from .errors import (
 from .mpoly import MPoly, var_sort_key
 
 DEFAULT_BUDGET = 10**8
-PRIME_LADDER = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the field sizes that plans sample, smallest first
+FIELD_LADDER = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 29, 31, 37)
 # bounds the trial division that checks a prime given from outside: a
 # dimension-0 count enumerates one point, so POTTS_BUDGET never bounds it
 MAX_PRIME = 2**31
@@ -54,11 +62,11 @@ def _budget() -> int:
         ) from None
 
 
-def _check_budget(prime: int, ambient_dim: int) -> None:
+def _check_budget(q: int, ambient_dim: int) -> None:
     cap = _budget()
-    if prime**ambient_dim > cap:
+    if q**ambient_dim > cap:
         raise ResourceLimitError(
-            f"{prime}^{ambient_dim} points exceeds the budget of {cap}"
+            f"{q}^{ambient_dim} points exceeds the budget of {cap}"
         )
 
 
@@ -94,80 +102,64 @@ def _dense_system(polys: Sequence[MPoly]):
 def count_zero_locus(
     polys: Sequence[MPoly],
     ambient_dim: int,
-    prime: int,
+    q: int,
 ) -> int:
-    """Points of F_p^ambient_dim where every polynomial vanishes."""
-    _check_primes((prime,))
-    _check_budget(prime, ambient_dim)
+    """Points of F_q^ambient_dim where every polynomial vanishes."""
+    _check_fields((q,))
+    _check_budget(q, ambient_dim)
     constraints = [p for p in polys if not p.is_zero]
     if not constraints:
-        return prime**ambient_dim
+        return q**ambient_dim
     names, dense = _dense_system(constraints)
     if len(names) > ambient_dim:
         raise InvalidArgumentError(
             f"{len(names)} variables do not fit in ambient dimension {ambient_dim}"
         )
     # through the module attribute, so a wrapper rebound there sees every call
-    zeros = _countpure.count_common_zeros(dense, len(names), prime)
-    return zeros * prime ** (ambient_dim - len(names))
+    zeros = _countpure.count_common_zeros(dense, len(names), q)
+    return zeros * q ** (ambient_dim - len(names))
 
 
-def count_complement(poly: MPoly, ambient_dim: int, prime: int) -> int:
-    """Points of F_p^ambient_dim where the polynomial is nonzero."""
-    return prime**ambient_dim - count_zero_locus([poly], ambient_dim, prime)
+def count_complement(poly: MPoly, ambient_dim: int, q: int) -> int:
+    """Points of F_q^ambient_dim where the polynomial is nonzero."""
+    return q**ambient_dim - count_zero_locus([poly], ambient_dim, q)
 
 
-def count_fixed_q(poly: MPoly, q0: int, ambient_dim: int, prime: int) -> int:
-    """Points of the fixed-q slice (t-space only) where poly(q0, t) != 0."""
-    return count_complement(poly.substitute("q", q0 % prime), ambient_dim, prime)
+def count_fixed_q(poly: MPoly, q0: int, ambient_dim: int, q: int) -> int:
+    """Points of the fixed-q slice (t-space only) over F_q where
+    poly(q0, t) != 0; the integer q0 is the element q0 % char of F_q."""
+    _check_fields((q,))
+    return count_complement(poly.substitute("q", q0 % _characteristic(q)), ambient_dim, q)
 
 
 # -- interpolation -------------------------------------------------------------
 
 
-def _lagrange_fit(xs: Sequence[int], ys: Sequence[int]) -> list[Fraction]:
-    """Coefficients (ascending) of the unique degree < len(xs) polynomial
-    through the points, over exact rationals."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            shifted = [Fraction(0)] + basis
-            for k in range(len(basis)):
-                shifted[k] -= xs[j] * basis[k]
-            basis = shifted
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / denom
-        for k in range(len(basis)):
-            coeffs[k] += basis[k] * scale
-    return coeffs
-
-
 def _class_from_samples(samples, ambient_dim: int) -> ClassPoly:
-    xs = [p for p, _ in samples]
-    ys = [n for _, n in samples]
-    fit = _lagrange_fit(xs, ys)
-    while fit and fit[-1] == 0:
-        fit.pop()
-    for c in fit:
-        if c.denominator != 1:
-            raise NotPolynomialCountError(
-                f"interpolation through {samples} has non-integer coefficient {c}"
-            )
-    if len(fit) - 1 > ambient_dim:
+    """The class T^d + r of a complement in A^d through the samples (q, n),
+    d = ambient_dim.  r is fitted to n - q^d in the Newton basis
+    prod (L - q_i) by divided differences over the integers; a division that
+    leaves a remainder, or a nonzero difference of order d or more, means
+    the counts are no such class.  Horner then rebases r from L to
+    T = L - 1."""
+    xs = [q for q, _ in samples]
+    diffs = [n - q**ambient_dim for q, n in samples]
+    for order in range(1, len(xs)):
+        for i in range(len(xs) - 1, order - 1, -1):
+            quo, rem = divmod(diffs[i] - diffs[i - 1], xs[i] - xs[i - order])
+            if rem:
+                raise NotPolynomialCountError(
+                    f"counts {samples} have a non-integer divided difference"
+                )
+            diffs[i] = quo
+    if any(diffs[ambient_dim:]):
         raise NotPolynomialCountError(
-            f"interpolated degree {len(fit) - 1} exceeds ambient dimension {ambient_dim}"
+            f"counts {samples} are not T^{ambient_dim} plus a class of lower degree"
         )
-    # rebase from L to T = L - 1
-    lef = ClassPoly((1, 1))
-    out = ClassPoly.zero()
-    for i, c in enumerate(fit):
-        out = out + lef**i * int(c)
-    return out
+    rest = ClassPoly.zero()
+    for k in range(min(ambient_dim, len(xs)) - 1, -1, -1):
+        rest = rest * ClassPoly((1 - xs[k], 1)) + diffs[k]
+    return rest + ClassPoly((1, 1)) ** ambient_dim
 
 
 def _is_prime(n: int) -> bool:
@@ -181,34 +173,55 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _check_primes(primes: Iterable[int]) -> None:
-    """Refuse anything but primes below MAX_PRIME: the kernel's closed forms
-    need a field, and the cap is tested first so that trial division stays
-    short."""
-    bad = [p for p in primes if not (p < MAX_PRIME and _is_prime(p))]
+def _characteristic(q: int) -> int:
+    """The characteristic of the supported field F_q."""
+    return _countpure.EXTENSIONS.get(q, (q,))[0]
+
+
+def _check_fields(sizes: Iterable[int]) -> None:
+    """Refuse all but the supported fields: the kernel's closed forms need a
+    field, and the cap is tested first so that trial division stays short."""
+    bad = [
+        q for q in sizes
+        if q not in _countpure.EXTENSIONS and not (q < MAX_PRIME and _is_prime(q))
+    ]
     if bad:
-        raise InvalidArgumentError(f"{bad} are not primes below 2^31")
+        raise InvalidArgumentError(
+            f"{bad} are not primes below 2^31 nor one of "
+            f"{sorted(_countpure.EXTENSIONS)}, so not a supported field"
+        )
 
 
-def default_primes(ambient_dim: int, *, skip_two: bool = False) -> tuple[int, ...]:
-    ladder = [p for p in PRIME_LADDER if not (skip_two and p == 2)]
+def _ladder(odd_characteristic: bool) -> list[int]:
+    return [q for q in FIELD_LADDER if not (odd_characteristic and q % 2 == 0)]
+
+
+def default_primes(
+    ambient_dim: int, *, odd_characteristic: bool = False
+) -> tuple[int, ...]:
+    """The d = ambient_dim sample fields of a plan: the first d sizes of the
+    ladder, which must leave one above them for the check field."""
+    ladder = _ladder(odd_characteristic)
     if ambient_dim + 1 > len(ladder):
         raise InvalidArgumentError("ambient dimension beyond the prime ladder")
-    return tuple(ladder[: ambient_dim + 1])
+    return tuple(ladder[:ambient_dim])
 
 
-def default_check_prime(primes: Iterable[int]) -> int:
-    top = max(primes)
-    for p in PRIME_LADDER:
-        if p > top:
-            return p
-    raise InvalidArgumentError("no check prime left on the ladder")
+def default_check_prime(
+    primes: Iterable[int], *, odd_characteristic: bool = False
+) -> int:
+    """The check field of a plan: the first ladder size above every sample."""
+    top = max(primes, default=0)
+    for q in _ladder(odd_characteristic):
+        if q > top:
+            return q
+    raise InvalidArgumentError("no check field left on the ladder")
 
 
 @dataclass(frozen=True)
 class CountReport:
-    """Per-prime counts with the interpolated class and its check-prime
-    evidence (prime, predicted, observed)."""
+    """Counts per sample field, with the interpolated class and its
+    check-field evidence (field size, predicted, observed)."""
 
     ambient_dim: int
     samples: tuple[tuple[int, int], ...]
@@ -235,35 +248,38 @@ def sample_plan(
     *,
     q0: int | None = None,
 ) -> tuple[tuple[int, ...], int]:
-    """The sample primes and check prime of a count report, refused before
-    anything is counted: too few or repeated primes, a check prime among the
-    samples, a non-prime, a dimension beyond the prime ladder, a nominal
-    enumeration over POTTS_BUDGET, or, for a fixed-q slice at q0, a prime
-    where q0 is 0 or 1 (the slice degenerates there, so its count says
-    nothing about the class; a fixed-q slice is sampled at odd primes by
-    default).  Callers that must first build the polynomial to count call
-    this before building it."""
+    """The sample fields and check field of a count report, given by their
+    sizes and refused before anything is counted: fewer than ambient_dim or
+    repeated sample fields, a check field among the samples, an unsupported
+    field, a dimension beyond the ladder, a nominal enumeration over
+    POTTS_BUDGET, or, for a fixed-q slice at q0, a field where q0 is 0 or 1
+    (the slice degenerates there, so its count says nothing about the class).
+    A fixed-q slice is sampled at fields of odd characteristic by default,
+    since the integer 2 is 0 in characteristic 2.  Callers that must first
+    build the polynomial to count call this before building it."""
+    odd = q0 is not None
     if primes is None:
-        primes = default_primes(ambient_dim, skip_two=q0 is not None)
+        primes = default_primes(ambient_dim, odd_characteristic=odd)
     primes = tuple(primes)
-    if len(primes) < ambient_dim + 1:
+    if len(primes) < ambient_dim:
         raise InvalidArgumentError(
-            f"need at least {ambient_dim + 1} sample primes, got {len(primes)}"
+            f"need at least {ambient_dim} sample primes, got {len(primes)}"
         )
     if check_prime is None:
-        check_prime = default_check_prime(primes)
+        check_prime = default_check_prime(primes, odd_characteristic=odd)
     if len(set(primes)) != len(primes):
         raise InvalidArgumentError(f"sample primes {primes} repeat a prime")
     if check_prime in primes:
         raise InvalidArgumentError(f"check prime {check_prime} is also a sample prime")
-    _check_primes(primes + (check_prime,))
+    _check_fields(primes + (check_prime,))
     if q0 is not None:
-        for p in primes + (check_prime,):
-            if q0 % p in (0, 1):
+        for q in primes + (check_prime,):
+            value = q0 % _characteristic(q)
+            if value in (0, 1):
                 raise InvalidArgumentError(
-                    f"q = {q0} is {q0 % p} modulo {p}; the fixed-q slice degenerates"
+                    f"q = {q0} is {value} in F_{q}; the fixed-q slice degenerates"
                 )
-    nominal = sum(p**ambient_dim for p in primes) + check_prime**ambient_dim
+    nominal = sum(q**ambient_dim for q in primes) + check_prime**ambient_dim
     cap = _budget()
     if nominal > cap:
         raise ResourceLimitError(
@@ -278,16 +294,18 @@ def count_report(
     primes: Sequence[int] | None = None,
     check_prime: int | None = None,
 ) -> CountReport:
-    """Run the counter over the sample primes, interpolate, and verify at the
-    check prime; raises NotPolynomialCountError on any inconsistency."""
+    """Run the counter, which counts the complement of a proper subvariety of
+    A^ambient_dim over the field of the size it is given, at the sample
+    fields, interpolate, and verify at the check field; raises
+    NotPolynomialCountError on any inconsistency."""
     primes, check_prime = sample_plan(ambient_dim, primes, check_prime)
-    samples = tuple((p, counter(p)) for p in primes)
+    samples = tuple((q, counter(q)) for q in primes)
     cls = _class_from_samples(samples, ambient_dim)
     predicted = cls.eval_int(check_prime - 1)
     observed = counter(check_prime)
     if predicted != observed:
         raise NotPolynomialCountError(
-            f"check prime {check_prime}: predicted {predicted}, observed {observed}"
+            f"check field F_{check_prime}: predicted {predicted}, observed {observed}"
         )
     return CountReport(ambient_dim, samples, cls, (check_prime, predicted, observed))
 
@@ -306,16 +324,22 @@ def interpolate_class(
 
 
 def complement_class(poly: MPoly, ambient_dim: int) -> ClassPoly:
-    """{X}: class of the complement of {poly = 0} in affine ambient space."""
+    """{X}: class of the complement of {poly = 0} in affine ambient space;
+    0, uncounted, for the zero polynomial."""
+    if poly.is_zero:
+        return ClassPoly.zero()
     return interpolate_class(
-        lambda p: count_complement(poly, ambient_dim, p), ambient_dim
+        lambda q: count_complement(poly, ambient_dim, q), ambient_dim
     )
 
 
 def locus_complement_class(polys: Sequence[MPoly], ambient_dim: int) -> ClassPoly:
-    """{X} for the common zero locus of several polynomials."""
+    """{X} for the common zero locus of several polynomials; 0, uncounted,
+    when every polynomial is zero."""
+    if all(p.is_zero for p in polys):
+        return ClassPoly.zero()
     return interpolate_class(
-        lambda p: p**ambient_dim - count_zero_locus(polys, ambient_dim, p),
+        lambda q: q**ambient_dim - count_zero_locus(polys, ambient_dim, q),
         ambient_dim,
     )
 
@@ -328,10 +352,10 @@ def fixed_q_report(
     check_prime: int | None = None,
 ) -> CountReport:
     """count_report of the fixed-q complement slice at q0; see sample_plan
-    for the primes it samples and the q0 it refuses."""
+    for the fields it samples and the q0 it refuses."""
     primes, check_prime = sample_plan(edge_count, primes, check_prime, q0=q0)
     return count_report(
-        lambda p: count_fixed_q(poly, q0, edge_count, p),
+        lambda q: count_fixed_q(poly, q0, edge_count, q),
         edge_count,
         primes,
         check_prime,

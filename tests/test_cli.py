@@ -75,11 +75,7 @@ def test_class_oracle_agreement(runner):
     assert doc["class_T"] == [2, -2, -2, 2, 1]
 
 
-def test_class_chain_requires_fixed_q(runner):
-    result = runner.invoke(
-        cli, ["class", "--family", "chain-polygon", "--m", "2", "--k", "1", "--N", "2"]
-    )
-    assert result.exit_code == 2
+def test_class_chain_fixed_and_variable_q(runner):
     result = runner.invoke(
         cli,
         [
@@ -98,6 +94,57 @@ def test_class_chain_requires_fixed_q(runner):
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["class_T"] == [0, 1, 2, 3, 2, 1]
+    # without --fixed-q: T^E + (T - 1) {fixed-q}, E = 6
+    result = runner.invoke(
+        cli, ["class", "--family", "chain-polygon", "--m", "1", "--k", "1", "--N", "2"]
+    )
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert doc["class_T"] == [0, -1, -1, -1, 1, 2, 1]
+    assert doc["fixed_q"] is False
+
+
+def test_class_chain_variable_q_oracle_at_dimension_7(runner, monkeypatch):
+    monkeypatch.delenv("POTTS_BUDGET", raising=False)
+    result = runner.invoke(
+        cli,
+        ["class", "--family", "chain-polygon", "--m", "2", "--k", "0", "--N", "2", "--oracle"],
+    )
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert len(doc["class_T"]) == 8  # two triangles: 6 edges, dimension 7
+    assert doc["oracle"] == {"match": True, "class_T": doc["class_T"]}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "polygon", "--m", "5", "--oracle"],  # dimension 7
+        ["--family", "banana", "--m", "5", "--oracle"],  # dimension 7
+        # dimension 6 with fixed q
+        ["--family", "chain-polygon", "--m", "2", "--k", "0", "--N", "2", "--fixed-q", "--oracle"],
+    ],
+)
+def test_oracle_reach_under_the_default_budget(runner, monkeypatch, args):
+    monkeypatch.delenv("POTTS_BUDGET", raising=False)
+    result = runner.invoke(cli, ["class", *args])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["oracle"]["match"] is True
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "polygon", "--m", "6", "--oracle"],  # dimension 8
+        # dimension 7 with fixed q: no sample in characteristic 2
+        ["--family", "chain-polygon", "--m", "2", "--k", "1", "--N", "2", "--fixed-q", "--oracle"],
+    ],
+)
+def test_oracle_beyond_the_default_budget_exit_3(runner, monkeypatch, args):
+    monkeypatch.delenv("POTTS_BUDGET", raising=False)
+    result = runner.invoke(cli, ["class", *args])
+    assert result.exit_code == 3
+    assert "over the budget" in result.output
 
 
 def test_cone_polygon(runner):
@@ -237,13 +284,13 @@ def test_count_repeated_prime_exit_2(runner):
 
 
 def test_count_composite_sample_prime_exit_2(runner):
-    result = _count(runner, "--primes", "2,3,4,5,7")
+    result = _count(runner, "--primes", "2,3,6,5,7")
     assert result.exit_code == 2
     assert "not primes" in result.output
 
 
 def test_count_composite_check_prime_exit_2(runner):
-    result = _count(runner, "--check", "9")
+    result = _count(runner, "--check", "15")
     assert result.exit_code == 2
     assert "not primes" in result.output
 
@@ -278,21 +325,23 @@ def test_count_check_prime_among_samples_exit_2(runner):
 
 
 @pytest.mark.parametrize(
-    "q0",
+    "q0,fields",
     [
-        "0",
-        "1",
-        "4",  # 1 modulo the sample prime 3
-        "53",  # 1 modulo the default check prime 13
+        ("0", []),
+        ("1", []),
+        ("4", []),  # 1 in F_3, the first sample field
+        # 1 in F_11, the check field only
+        ("23", ["--primes", "3,5,7", "--check", "11"]),
     ],
+    ids=["0", "1", "4", "23"],
 )
-def test_count_degenerate_q_exit_2(runner, monkeypatch, q0):
-    # refused before Z_G is built or any prime is counted
+def test_count_degenerate_q_exit_2(runner, monkeypatch, q0, fields):
+    # refused before Z_G is built or any field is counted
     def never(g):
         raise AssertionError("Z_G built for a count that is refused")
 
     monkeypatch.setattr("pottsmotive.tutte.tutte_delcon", never)
-    result = _count(runner, "--q", q0)
+    result = _count(runner, "--q", q0, *fields)
     assert result.exit_code == 2
     assert "degenerates" in result.output
 

@@ -1,48 +1,106 @@
-"""Differential tests of the counting kernel against a plain full
-enumeration."""
+"""Tests of the counting kernel: its field tables on their own, and the
+kernel against the reference counter, a plain full enumeration."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pottsmotive import _countpure
+from pottsmotive._countpure import brute_force
+from pottsmotive.pointcount import FIELD_LADDER
 
 # the one kernel, under the backend name that the test ids have always carried
 KERNEL = pytest.mark.parametrize("kernel", [_countpure], ids=["pure"])
+# the fields the hypothesis tests draw from: the three extension fields and
+# the primes below 10
+SMALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
 
 
-def brute_force(polys, nvars, prime):
-    def monomials(shape, coeffs):
-        out = []
-        for flat, c in enumerate(coeffs):
-            if not c:
-                continue
-            exps = []
-            rest = flat
-            for extent in reversed(shape):
-                exps.append(rest % extent)
-                rest //= extent
-            exps.reverse()
-            out.append((c, exps))
-        return out
+@pytest.mark.parametrize("q", FIELD_LADDER)
+def test_field_axioms(q):
+    F = _countpure.field(q)
+    add, mul = F.add, F.mul
+    assert type(add) is list  # every field on the ladder has tables
+    elements = range(q)
+    for a in elements:
+        assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+        assert add[a][F.neg[a]] == 0
+        for b in elements:
+            assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+            for c in elements:
+                assert add[add[a][b]][c] == add[a][add[b][c]]
+                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
-    def value(terms, point):
-        total = 0
-        for c, exps in terms:
-            term = c
-            for v, e in zip(point, exps):
-                term *= v**e
-            total += term
-        return total % prime
 
-    systems = [monomials(s, c) for s, c in polys]
-    count = 0
-    for point in itertools.product(range(prime), repeat=nvars):
-        if all(value(terms, point) == 0 for terms in systems):
-            count += 1
-    return count
+@pytest.mark.parametrize("q", FIELD_LADDER)
+def test_field_inverses_and_frobenius(q):
+    F = _countpure.field(q)
+    for a in range(1, q):
+        assert F.mul[a][F.inv[a]] == 1
+    for a in range(q):
+        power = 1
+        for _ in range(q):
+            power = F.mul[power][a]
+        assert power == a  # x^q = x
+
+
+@pytest.mark.parametrize("q", FIELD_LADDER)
+def test_multiplicative_group_is_cyclic(q):
+    F = _countpure.field(q)
+
+    def order(a):
+        power, n = a, 1
+        while power != 1:
+            power, n = F.mul[power][a], n + 1
+        return n
+
+    assert max(order(a) for a in range(1, q)) == q - 1
+
+
+@pytest.mark.parametrize("q", FIELD_LADDER)
+def test_quadratic_root_table(q):
+    F = _countpure.field(q)
+    for b in range(q):
+        for c in range(q):
+            roots = sum(
+                F.add[F.add[F.mul[x][x]][F.mul[b][x]]][c] == 0 for x in range(q)
+            )
+            assert F.roots[b][c] == roots
+
+
+def test_integers_map_to_the_prime_field():
+    # an integer coefficient c is the element c % char
+    assert _countpure.count_common_zeros([((2,), [-3, 1])], 1, 4) == 1
+    assert _countpure.count_common_zeros([((1,), [6])], 1, 8) == 8
+    assert _countpure.count_common_zeros([((1,), [6])], 1, 9) == 9
+    assert _countpure.count_common_zeros([((1,), [4])], 1, 9) == 0
+
+
+@pytest.mark.parametrize("q", [6, 16, 25, 1, 0])
+def test_unsupported_table_field_refused(q):
+    with pytest.raises(ValueError):
+        _countpure.field(q)
+
+
+@pytest.mark.parametrize("p", [41, 2**31 - 1])
+def test_modular_field_computes_the_table_operations(p):
+    F = _countpure.field(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        a, b = rng.randrange(p), rng.randrange(1, p)
+        assert F.add[a][b] == (a + b) % p and F.mul[a][b] == a * b % p
+        assert F.neg[a] == -a % p and F.mul[b][F.inv[b]] == 1
+
+
+def test_modular_field_root_count():
+    F = _countpure.field(41)
+    for b, c in itertools.product(range(41), repeat=2):
+        roots = sum((x * x + b * x + c) % 41 == 0 for x in range(41))
+        assert F.roots[b][c] == roots
 
 
 CASES = [
@@ -59,6 +117,9 @@ CASES = [
     ([((1,), [7])], 1, 7, 7),
     # constant 3 never vanishes mod 5
     ([((1,), [3])], 1, 5, 0),
+    # above the tables: the field computes its rows with %
+    ([((2, 2), [0, 0, 1, 1])], 2, 41, 2 * 41 - 1),
+    ([((2, 2), [1, 0, 0, 1]), ((2, 2), [0, 1, 1, 0])], 2, 43, 2),
 ]
 
 
@@ -93,10 +154,10 @@ def dense_polys(draw, nvars):
 def test_kernels_match_brute_force(data):
     nvars = data.draw(st.integers(min_value=0, max_value=3))
     npolys = data.draw(st.integers(min_value=1, max_value=3))
-    prime = data.draw(st.sampled_from([2, 3, 5]))
+    q = data.draw(st.sampled_from(SMALL_FIELDS))
     polys = [data.draw(dense_polys(nvars)) for _ in range(npolys)]
-    expected = brute_force(polys, nvars, prime)
-    assert _countpure.count_common_zeros(polys, nvars, prime) == expected
+    expected = brute_force(polys, nvars, q)
+    assert _countpure.count_common_zeros(polys, nvars, q) == expected
 
 
 # The closed-form leaves.  A three-variable polynomial is laid out as
@@ -123,6 +184,27 @@ LEAF_CASES = [
     pytest.param([((2, 2), [1, 0, 0, 1]), ((2, 2), [0, 1, 1, 0])], 2, 2, 1, id="pair-p2"),
     pytest.param([((2, 2), [3, 0, 0, 0]), ((2, 2), [0, 1, 0, 0])], 2, 7, 0, id="pair-constant"),
     pytest.param([((2, 2), [0, 1, 0, 0]), ((2, 2), [3, 0, 0, 0])], 2, 7, 0, id="pair-constant-second"),
+    # characteristic 2.  With D = 1 and B = C = x, Q = A - x^2 = A + x^2:
+    # A = 1 gives (x + 1)^2, b = 0 and one root; A = 1 + x gives
+    # x^2 + x + 1, with two roots or none as the absolute trace of 1 is 0
+    # (in F_4) or 1 (in F_2 and F_8)
+    pytest.param([((2, 2, 2), [1, 0, 0, 1, 0, 1, 1, 0])], 3, 4, 16, id="F4-b-zero"),
+    pytest.param([((2, 2, 2), [1, 0, 0, 1, 0, 1, 1, 0])], 3, 8, 64, id="F8-b-zero"),
+    pytest.param([((2, 2, 2), [1, 0, 0, 1, 1, 1, 1, 0])], 3, 4, 20, id="F4-trace-0"),
+    pytest.param([((2, 2, 2), [1, 0, 0, 1, 1, 1, 1, 0])], 3, 8, 56, id="F8-trace-1"),
+    pytest.param([((2, 2, 2), [1, 0, 0, 1, 1, 1, 1, 0])], 3, 2, 2, id="F2-trace-1"),
+    pytest.param([((2, 2, 2), [0, 0, 0, 0, 0, 0, 0, 1])], 3, 4, 37, id="F4-D-one-root"),
+    pytest.param([((2, 2), [1, 0, 0, 1]), ((2, 2), [0, 1, 1, 0])], 2, 4, 1, id="F4-pair"),
+    pytest.param([((2, 2), [1, 0, 0, 1]), ((2, 2), [0, 1, 1, 0])], 2, 8, 1, id="F8-pair"),
+    pytest.param([((3,), [1, 1, 1])], 1, 4, 2, id="F4-univariate"),
+    # F_9: 2 is not a square mod 3 but is one in F_9, so 2 - x^2 has two
+    # roots there and none in F_3
+    pytest.param([((2, 2, 2), [2, 0, 0, 1, 0, 1, 1, 0])], 3, 9, 90, id="F9-disc-square"),
+    pytest.param([((2, 2, 2), [2, 0, 0, 1, 0, 1, 1, 0])], 3, 3, 6, id="F3-disc-nonsquare"),
+    pytest.param([((2, 2, 2), [0, 0, 0, 1, 0, 1, 1, 0])], 3, 9, 81, id="F9-disc-zero"),
+    pytest.param([((2, 2), [1, 0, 0, 1]), ((2, 2), [0, 1, 1, 0])], 2, 9, 2, id="F9-pair"),
+    pytest.param([((2, 2), [1, 0, 0, 1]), ((2, 2), [1, 0, 0, 1])], 2, 9, 8, id="F9-R-zero"),
+    pytest.param([((3,), [1, 0, 1])], 1, 9, 2, id="F9-univariate"),
 ]
 
 
@@ -133,10 +215,9 @@ def test_leaf_closed_forms(kernel, polys, nvars, prime, expected):
     assert kernel.count_common_zeros(polys, nvars, prime) == expected
 
 
-# (variables, prime) pairs with at most 7^4 points keep the enumeration fast
-SMALL_SYSTEMS = [
-    (n, p) for n in (2, 3, 4) for p in (2, 3, 5, 7, 11, 13) if p**n <= 7**4
-]
+# (variables, field size) pairs with at most 7^4 points keep the enumeration
+# fast
+SMALL_SYSTEMS = [(n, q) for n in (2, 3, 4) for q in SMALL_FIELDS if q**n <= 7**4]
 
 
 @st.composite
@@ -153,8 +234,8 @@ def multilinear_polys(draw, nvars):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_multilinear_systems_match_brute_force(data):
-    nvars, prime = data.draw(st.sampled_from(SMALL_SYSTEMS))
+    nvars, q = data.draw(st.sampled_from(SMALL_SYSTEMS))
     npolys = data.draw(st.integers(min_value=1, max_value=2))
     polys = [data.draw(multilinear_polys(nvars)) for _ in range(npolys)]
-    expected = brute_force(polys, nvars, prime)
-    assert _countpure.count_common_zeros(polys, nvars, prime) == expected
+    expected = brute_force(polys, nvars, q)
+    assert _countpure.count_common_zeros(polys, nvars, q) == expected

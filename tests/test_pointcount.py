@@ -10,6 +10,7 @@ from pottsmotive.errors import (
 from pottsmotive.mpoly import MPoly, Q, edge_var
 from pottsmotive.multigraph import banana, polygon
 from pottsmotive.pointcount import (
+    complement_class,
     count_complement,
     count_fixed_q,
     count_report,
@@ -20,6 +21,7 @@ from pottsmotive.pointcount import (
     interpolate_class,
     kernel_backend,
     locus_complement_class,
+    sample_plan,
 )
 from pottsmotive.tutte import tutte_delcon
 
@@ -74,6 +76,16 @@ def test_count_fixed_q_triangle():
             assert count_fixed_q(z, q0, 3, p) == fixed.eval_int(p - 1)
 
 
+def test_count_fixed_q_at_prime_powers():
+    # q0 is the element q0 % 3 of F_9; F_4 and F_8 have no q0 outside {0, 1}
+    z = tutte_delcon(polygon(3))
+    fixed = ClassPoly((-2, 0, 2, 1))
+    for q0 in (2, 5, 8):
+        assert count_fixed_q(z, q0, 3, 9) == fixed.eval_int(8)
+    assert count_fixed_q(z, 3, 3, 9) == 0
+    assert count_fixed_q(z, 4, 3, 9) == 8**3
+
+
 def test_count_fixed_q_special_values():
     for g in (polygon(3), banana(2)):
         z = tutte_delcon(g)
@@ -106,7 +118,7 @@ def test_budget_env(monkeypatch):
         count_complement(LOOP_Z, 2, 3)
 
 
-@pytest.mark.parametrize("modulus", [4, 9, 1, 0, -3, 2**31 + 11])
+@pytest.mark.parametrize("modulus", [6, 25, 1, 0, -3, 2**31 + 11])
 def test_non_prime_modulus_rejected(modulus):
     # 2^31 + 11 is prime but above MAX_PRIME, the cap on trial division
     with pytest.raises(InvalidArgumentError, match="not primes below 2"):
@@ -123,9 +135,14 @@ def test_too_many_variables_rejected():
 
 
 def test_default_primes_and_check():
-    assert default_primes(4) == (2, 3, 5, 7, 11)
-    assert default_check_prime((2, 3, 5, 7, 11)) == 13
-    assert default_primes(3, skip_two=True) == (3, 5, 7, 11)
+    assert default_primes(4) == (2, 3, 4, 5)
+    assert default_check_prime((2, 3, 4, 5)) == 7
+    assert default_primes(7) == (2, 3, 4, 5, 7, 8, 9)
+    assert default_check_prime(default_primes(7)) == 11
+    assert default_primes(3, odd_characteristic=True) == (3, 5, 7)
+    assert default_check_prime((3, 5, 7), odd_characteristic=True) == 9
+    assert default_primes(6, odd_characteristic=True) == (3, 5, 7, 9, 11, 13)
+    assert default_check_prime((3, 5, 7, 9, 11, 13), odd_characteristic=True) == 17
 
 
 def test_interpolate_loop_class():
@@ -133,6 +150,18 @@ def test_interpolate_loop_class():
         lambda p: count_complement(LOOP_Z, 2, p), 2, primes=(2, 3, 5), check_prime=7
     )
     assert cls == T**2
+
+
+def test_interpolate_at_prime_powers():
+    cls = interpolate_class(
+        lambda q: count_complement(LOOP_Z, 2, q), 2, primes=(4, 9), check_prime=8
+    )
+    assert cls == T**2
+    z = tutte_delcon(polygon(3))
+    cls = interpolate_class(
+        lambda q: count_complement(z, 4, q), 4, primes=(8, 4, 9, 2), check_prime=3
+    )
+    assert cls == T**4 + 2 * T**3 - 2 * T**2 - 2 * T + 2
 
 
 def test_interpolate_overdetermined():
@@ -179,6 +208,12 @@ def test_interpolate_rejects_non_integer_fit():
         interpolate_class(lambda p: 1 if p == 2 else 2, 1, primes=(2, 3), check_prime=5)
 
 
+def test_interpolate_rejects_a_higher_degree():
+    # n = q^3 is T^3 + ... only when the ambient dimension is 3
+    with pytest.raises(NotPolynomialCountError):
+        interpolate_class(lambda q: q**3, 2, primes=(2, 3, 5), check_prime=7)
+
+
 def test_interpolate_needs_enough_primes():
     with pytest.raises(InvalidArgumentError):
         interpolate_class(lambda p: p, 3, primes=(2, 3), check_prime=5)
@@ -200,3 +235,31 @@ def test_f2_complement_is_one():
     for g in (polygon(1), polygon(2), polygon(3), banana(3)):
         z = tutte_delcon(g)
         assert count_complement(z, g.edge_count + 1, 2) == 1
+
+
+def test_fixed_q_plan_has_odd_characteristic(monkeypatch):
+    # the integer 2 is 0 in characteristic 2, so F_2, F_4 and F_8 would
+    # degenerate every fixed-q slice at q = 2; the budget is lifted so that
+    # every plan on the ladder is built
+    monkeypatch.setenv("POTTS_BUDGET", str(10**40))
+    for dim in range(12):
+        primes, check = sample_plan(dim, q0=2)
+        assert not {2, 4, 8} & set(primes + (check,))
+        assert len(primes) == dim
+    with pytest.raises(InvalidArgumentError, match="beyond the prime ladder"):
+        sample_plan(12, q0=2)
+
+
+def test_fixed_q_plan_refuses_characteristic_two():
+    with pytest.raises(InvalidArgumentError, match="degenerates"):
+        sample_plan(2, (3, 4), 5, q0=2)
+
+
+def test_zero_polynomial_complement_class_is_zero(monkeypatch):
+    def never(*args):
+        raise AssertionError("counted an empty complement")
+
+    monkeypatch.setattr(_countpure, "count_common_zeros", never)
+    assert complement_class(MPoly.zero(), 3) == ClassPoly.zero()
+    assert locus_complement_class([MPoly.zero(), MPoly.zero()], 3) == ClassPoly.zero()
+    assert locus_complement_class([], 2) == ClassPoly.zero()
