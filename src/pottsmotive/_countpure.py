@@ -10,8 +10,9 @@ The supported fields are F_p for a prime p and F_4, F_8 and F_9.  An element
 of F_q is an int in range(q) whose base-p digits are its coefficients in
 F_p[x]/(m(x)), lowest first, so 0 and 1 are the field's zero and one and an
 integer coefficient c is the element c % p.  Every field up to F_37 does its
-arithmetic by table lookup (see Field); a larger prime field computes the
-same rows with %.  One recursion and one set of leaves serve every field.
+arithmetic by table lookup (see Field); a larger prime field computes each
+entry with % on its first read and keeps it.  One recursion and one set of
+leaves serve every field.
 
 Early exits keep the recursion far below q^nvars nodes in practice:
   - a polynomial that reduces to a nonzero constant kills its branch,
@@ -61,8 +62,8 @@ class Field:
 
 def field(q):
     """The field with q elements: tables up to TABLE_MAX, built on first
-    use, and above it a prime field whose rows compute with % (q is taken
-    to be prime there; the caller checks)."""
+    use, and above it a prime field whose entries are computed with % on
+    first read (q is taken to be prime there; the caller checks)."""
     if q <= TABLE_MAX:
         return _table_field(q)
     return _modular_field(q)
@@ -116,23 +117,23 @@ def _extension_tables(q, p, low):
     return add, mul, neg
 
 
-class _Computed:
-    """An operation table of F_p computed on access: table[a] is fn(a), for
-    a binary operation the row with row[b] == op(a, b)."""
+class _Memo(dict):
+    """An operation table of F_p filled on access: table[a] is fn(a),
+    computed on the first read and stored; for a binary operation the row
+    with row[b] == op(a, b), itself a _Memo.  Only the entries read are
+    ever built, so no row has length p."""
 
     __slots__ = ("fn",)
 
     def __init__(self, fn):
         self.fn = fn
 
-    def __getitem__(self, a):
-        return self.fn(a)
+    def __missing__(self, a):
+        value = self[a] = self.fn(a)
+        return value
 
 
 def _modular_field(p):
-    def binary(op):
-        return _Computed(lambda a: _Computed(lambda b: op(a, b) % p))
-
     def roots(b, c):  # Euler's criterion on the discriminant; p is odd
         disc = (b * b - 4 * c) % p
         if not disc:
@@ -142,11 +143,11 @@ def _modular_field(p):
     return Field(
         p,
         p,
-        binary(int.__add__),
-        binary(int.__mul__),
-        _Computed(lambda a: -a % p),
-        _Computed(lambda a: pow(a, -1, p)),
-        _Computed(lambda b: _Computed(lambda c: roots(b, c))),
+        _Memo(lambda a: _Memo(lambda b: (a + b) % p)),
+        _Memo(lambda a: _Memo(lambda b: a * b % p)),
+        _Memo(lambda a: -a % p),
+        _Memo(lambda a: pow(a, -1, p)),
+        _Memo(lambda b: _Memo(lambda c: roots(b, c))),
     )
 
 

@@ -15,7 +15,14 @@ from .errors import ExactDivisionError, InvalidArgumentError
 
 class ClassPoly:
     """Immutable polynomial in T with arbitrary-precision integer
-    coefficients, stored ascending with trailing zeros trimmed."""
+    coefficients, stored ascending with trailing zeros trimmed.
+
+    Powers, and products of two factors with four or more coefficients
+    each, go through Kronecker substitution: the operands are packed into
+    one integer each (their values at X = 2^(8w), w bytes a coefficient),
+    multiplied or raised to the power once in big-integer arithmetic, and
+    the result is read back digit by digit.  The width w comes from a bound
+    on the result's coefficients, so the reading back is exact."""
 
     __slots__ = ("coeffs",)
 
@@ -55,47 +62,60 @@ class ClassPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return ClassPoly(out)
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ClassPoly":
-        return ClassPoly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other: Union["ClassPoly", int]) -> "ClassPoly":
         if isinstance(other, int):
             other = ClassPoly.const(other)
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return _poly(out)
 
     def __rsub__(self, other: int) -> "ClassPoly":
         return ClassPoly.const(other) - self
 
     def __mul__(self, other: Union["ClassPoly", int]) -> "ClassPoly":
         if isinstance(other, int):
-            return ClassPoly(tuple(c * other for c in self.coeffs))
-        if not self.coeffs or not other.coeffs:
-            return ClassPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return ClassPoly(out)
+            return _poly([c * other for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return ZERO
+        if len(a) < 4:
+            # a factor such as T - 1 or T^2 - 3T + 1: three passes over b
+            # cost less than packing b and unpacking the product
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return _poly(out)
+        # every product coefficient is a sum of at most len(a) terms a_i * b_j
+        w = _width(max(map(abs, a)) * max(map(abs, b)) * len(a))
+        return _poly(_unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ClassPoly":
         if n < 0:
             raise InvalidArgumentError("negative power")
-        result = ClassPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return result
+        a = self.coeffs
+        if n == 0:
+            return ONE
+        if not a:
+            return self
+        # the coefficients of a^n are at most its value at 1 with every
+        # coefficient made positive
+        w = _width(sum(map(abs, a)) ** n)
+        return _poly(_unpack(_pack(a, w) ** n, (len(a) - 1) * n + 1, w))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -133,7 +153,7 @@ class ClassPoly:
             raise InvalidArgumentError("negative power of T")
         if not self.coeffs:
             return self
-        return ClassPoly((0,) * k + self.coeffs)
+        return _poly([0] * k + list(self.coeffs))
 
     def divexact(self, divisor: "ClassPoly") -> "ClassPoly":
         """Exact quotient in integer polynomials; raises if a step of the long
@@ -161,7 +181,7 @@ class ClassPoly:
                 f"({self}) is not divisible by ({divisor}): "
                 f"remainder {ClassPoly(rem)}"
             )
-        return ClassPoly(quo)
+        return _poly(quo)
 
     # -- rendering ---------------------------------------------------------------
 
@@ -191,6 +211,47 @@ class ClassPoly:
 
     def __repr__(self) -> str:
         return f"ClassPoly<{self.render()}>"
+
+
+def _poly(cs: list) -> ClassPoly:
+    """A ClassPoly from a list of ints, trimmed in place; unlike
+    ClassPoly(...) it converts nothing, so callers pass only ints."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    p = object.__new__(ClassPoly)
+    object.__setattr__(p, "coeffs", tuple(cs))
+    return p
+
+
+def _width(bound: int) -> int:
+    """Bytes per coefficient that hold every integer c with |c| <= bound
+    as a digit c + 2^(8w-1) in range(2^(8w))."""
+    return (bound.bit_length() + 8) // 8
+
+
+def _pack(coeffs, w: int) -> int:
+    """The polynomial's value at X = 2^(8w), by shift-and-add."""
+    shift = 8 * w
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << shift) + c
+    return acc
+
+
+def _unpack(value: int, n: int, w: int) -> list:
+    """The n coefficients c_i of value = sum c_i X^i, X = 2^(8w), where
+    every |c_i| < 2^(8w-1).  Adding the offset sum 2^(8w-1) X^i turns each
+    c_i into the digit c_i + 2^(8w-1) in range(X), with no carry between
+    digits; flipping the top bit of every digit back leaves c_i in w bytes
+    of two's complement.  A carry out of the top digit means the width was
+    too small, which the callers' bounds rule out."""
+    offset = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    digits = value + offset
+    if digits < 0 or digits >> (8 * w * n):
+        raise AssertionError(f"Kronecker unpack of {n} coefficients at width {w} left a carry")
+    data = (digits ^ offset).to_bytes(w * n, "little")
+    read = int.from_bytes
+    return [read(data[i : i + w], "little", signed=True) for i in range(0, w * n, w)]
 
 
 T = ClassPoly.monomial(1)

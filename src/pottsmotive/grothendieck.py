@@ -157,8 +157,9 @@ def polygon_class(m: int) -> ClassPoly:
     if m < 0:
         raise InvalidArgumentError("negative polygon index")
     head = ClassPoly.monomial(m + 2)
-    mid = T * (T - 1) * (ClassPoly.monomial(m) - (T - 1) ** m)
-    tail = (T - 1) * ((T - 1) ** m - (-1) ** m).divexact(T)
+    power = (T - 1) ** m
+    mid = T * (T - 1) * (ClassPoly.monomial(m) - power)
+    tail = (T - 1) * (power - (-1) ** m).divexact(T)
     return head + mid + tail
 
 
@@ -168,8 +169,9 @@ def polygon_class_fixed_q(m: int) -> ClassPoly:
     if m < 0:
         raise InvalidArgumentError("negative polygon index")
     head = ClassPoly.monomial(m + 1)
-    mid = T * (ClassPoly.monomial(m) - (T - 1) ** m)
-    tail = ((T - 1) ** m - (-1) ** m).divexact(T)
+    power = (T - 1) ** m
+    mid = T * (ClassPoly.monomial(m) - power)
+    tail = (power - (-1) ** m).divexact(T)
     return head + mid + tail
 
 

@@ -103,6 +103,27 @@ def test_modular_field_root_count():
         assert F.roots[b][c] == roots
 
 
+
+def test_large_prime_field_fills_only_the_entries_read():
+    p = 2**31 - 1  # p = 3 mod 4, so -1 and every -s^2 are non-squares
+    F = _countpure.field(p)
+    entries = [(0, 0), (1, p - 1), (12345, 67890), (p - 2, p - 3), (2**30, 2**30 + 7)]
+    for a, b in entries:
+        assert F.add[a][b] == (a + b) % p and F.mul[a][b] == a * b % p
+        assert F.neg[a] == -a % p
+        if b:
+            assert F.inv[b] * b % p == 1
+        # x^2 + bx + a(-b - a) is (x - a)(x + b + a)
+        other = (-b - a) % p
+        assert F.roots[b][a * other % p] == (1 if a == other else 2)
+        s = (a + 1) % p or 1
+        assert F.roots[0][s * s % p] == 0  # x^2 + s^2 has no root
+    # a second read gives the stored entry, and no row grew to length p
+    assert F.mul[12345][67890] == 12345 * 67890 % p
+    assert max(len(row) for row in F.mul.values()) <= len(entries)
+    assert len(F.add) == len(F.mul) == len({a for a, _ in entries})
+
+
 CASES = [
     # q*(1+t): the loop partition polynomial; shape (2, 2) over (q, t)
     ([((2, 2), [0, 0, 1, 1])], 2, 2, 1 * 4 - 1),

@@ -1,10 +1,20 @@
+import functools
+
 import pytest
 
+from pottsmotive import _countpure, pointcount, tutte
 from pottsmotive import grothendieck as gr
-from pottsmotive import pointcount, tutte
 from pottsmotive.classpoly import ONE, T, ZERO, ClassPoly, RationalClass
 from pottsmotive.errors import ExactDivisionError, InvalidArgumentError
-from pottsmotive.multigraph import FamilySpec, banana, disjoint_union, polygon
+from pottsmotive.multigraph import (
+    FamilySpec,
+    MultiGraph,
+    banana,
+    chain_bananas,
+    chain_polygons,
+    disjoint_union,
+    polygon,
+)
 
 TRIANGLE_CLASS = T**4 + 2 * T**3 - 2 * T**2 - 2 * T + 2
 TWO_BANANA_CLASS = T**3 + T**2 - 1
@@ -229,3 +239,76 @@ def test_delcon_identity_check(run_checks):
         "oracle/delcon-class/2-banana/*",
         "oracle/delcon-class/triangle/*",
     )
+
+
+# -- the union and join formulas against counted chains -----------------------------
+
+CHAINS = [
+    ("banana", FamilySpec(1, 0, 2)),
+    ("banana", FamilySpec(1, 1, 2)),
+    ("banana", FamilySpec(0, 0, 2)),
+    ("banana", FamilySpec(0, 1, 2)),
+    ("banana", FamilySpec(0, 0, 3)),
+    ("polygon", FamilySpec(1, 0, 2)),
+    ("polygon", FamilySpec(1, 1, 2)),
+]
+CHAIN_IDS = [f"{family}-{spec.m},{spec.k},{spec.n}" for family, spec in CHAINS]
+BUILDERS = {"banana": (chain_bananas, banana), "polygon": (chain_polygons, polygon)}
+FIXED_Q = {"banana": gr.chain_banana_class_fixed_q, "polygon": gr.chain_polygon_class_fixed_q}
+
+
+@functools.cache
+def _counted_chain(family, spec):
+    return gr.graph_class(BUILDERS[family][0](spec))
+
+
+@pytest.mark.parametrize("family, spec", CHAINS, ids=CHAIN_IDS)
+def test_union_and_join_compose_the_counted_chain(family, spec):
+    block = BUILDERS[family][1](spec.m + 1)
+    z_block, e_block = gr.graph_class(block), block.edge_count
+    z, e = z_block, e_block
+    for _ in range(spec.n - 1):
+        # the next block side by side, then joined to the chain at a shared
+        # vertex (k = 0) or by a bridge and k - 1 appended edges
+        z = gr.disjoint_union_class(z, e, z_block, e_block)
+        if spec.k == 0:
+            z = gr.join_transform(z, "vertex-join")
+        else:
+            z = gr.join_transform(z, "bridge-join")
+            for _ in range(spec.k - 1):
+                z = gr.join_transform(z, "append-edge")
+        e += e_block + spec.k
+    assert e == spec.edge_count
+    assert z == _counted_chain(family, spec)
+
+
+@pytest.mark.parametrize("family, spec", CHAINS, ids=CHAIN_IDS)
+def test_chain_fixed_q_class_lifts_to_the_counted_class(family, spec):
+    lifted = ClassPoly.monomial(spec.edge_count) + (T - 1) * FIXED_Q[family](spec)
+    assert lifted == _counted_chain(family, spec)
+
+
+# -- criterion 06 on the reference counter ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        polygon(3),
+        banana(3),
+        # a loop at 0 and the parallel pair 2, 3 between 0 and 1
+        MultiGraph(2, (("1", 0, 0), ("2", 0, 1), ("3", 0, 1))),
+    ],
+    ids=["triangle", "3-banana", "loop-and-pair"],
+)
+def test_delcon_identity_on_the_reference_counter(monkeypatch, graph):
+    calls = []
+
+    def reference(polys, nvars, q):
+        calls.append(q)
+        return _countpure.brute_force(polys, nvars, q)
+
+    monkeypatch.setattr(_countpure, "count_common_zeros", reference)
+    for eid in graph.edge_ids():
+        assert gr.delcon_identity_check(graph, eid)
+    assert calls  # the counts went through the full enumeration
