@@ -54,7 +54,9 @@ class ClassPoly:
     # -- ring structure ------------------------------------------------------
 
     def __add__(self, other: Union["ClassPoly", int]) -> "ClassPoly":
-        if isinstance(other, int):
+        if not isinstance(other, ClassPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = ClassPoly.const(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -70,7 +72,9 @@ class ClassPoly:
         return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other: Union["ClassPoly", int]) -> "ClassPoly":
-        if isinstance(other, int):
+        if not isinstance(other, ClassPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = ClassPoly.const(other)
         a, b = self.coeffs, other.coeffs
         out = list(a) + [0] * (len(b) - len(a))
@@ -79,10 +83,14 @@ class ClassPoly:
         return _poly(out)
 
     def __rsub__(self, other: int) -> "ClassPoly":
+        if not isinstance(other, int):
+            return NotImplemented
         return ClassPoly.const(other) - self
 
     def __mul__(self, other: Union["ClassPoly", int]) -> "ClassPoly":
-        if isinstance(other, int):
+        if not isinstance(other, ClassPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             return _poly([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):

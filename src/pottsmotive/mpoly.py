@@ -111,7 +111,9 @@ class MPoly:
         return merged, remap(self), remap(other)
 
     def __add__(self, other: Union["MPoly", int]) -> "MPoly":
-        if isinstance(other, int):
+        if not isinstance(other, MPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = MPoly.const(other)
         names, a, b = self._aligned(other)
         out = dict(a)
@@ -125,15 +127,21 @@ class MPoly:
         return MPoly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["MPoly", int]) -> "MPoly":
-        if isinstance(other, int):
+        if not isinstance(other, MPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = MPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other: int) -> "MPoly":
+        if not isinstance(other, int):
+            return NotImplemented
         return MPoly.const(other) - self
 
     def __mul__(self, other: Union["MPoly", int]) -> "MPoly":
-        if isinstance(other, int):
+        if not isinstance(other, MPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             if not other:
                 return MPoly.zero()
             return MPoly(self.variables, {e: c * other for e, c in self.terms.items()})

@@ -9,17 +9,19 @@ deletion-contraction routes are kept as independent implementations so each
 can serve as the oracle for the other.  They share no enumeration code: the
 subset routes walk every edge subset once (`_subsets`), while tutte_delcon
 recurses on subgraphs and never enumerates subsets.  Each route builds its
-terms in one dict and makes one MPoly at the end.  tutte_delcon memoises on
-the subgraph for the length of one top-level call only, so nothing is
-cached between calls.  Both refuse a graph with more than
-DEFAULT_EDGE_BUDGET edges (check_edge_budget).
+terms in one dict and makes one MPoly at the end.  tutte_delcon works on
+packed subgraphs, a vertex count and a tuple of (bit, u, v) ints with the
+vertices relabelled in order of first appearance, pivots on the first edge,
+and memoises on that canonical key for the length of one top-level call
+only, so nothing is cached between calls.  Both refuse a graph with more
+than DEFAULT_EDGE_BUDGET edges (check_edge_budget).
 """
 
 from __future__ import annotations
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .mpoly import MPoly, Q, var_sort_key
-from .multigraph import EdgeKind, MultiGraph
+from .multigraph import MultiGraph
 
 DEFAULT_EDGE_BUDGET = 20
 
@@ -79,14 +81,6 @@ def tutte_poly(g: MultiGraph) -> MPoly:
     return MPoly(("q",) + _edge_names(edges), terms)
 
 
-def _pivot(g: MultiGraph) -> str:
-    """The first regular edge, or the first edge when none is regular."""
-    for eid, u, v in g.edges:
-        if u != v and g.classify_edge(eid) is EdgeKind.REGULAR:
-            return eid
-    return g.edges[0][0]
-
-
 def _indicators(width: int) -> list[tuple]:
     """The 0/1 tuple of every mask below 2^width (bit i at position i),
     indexed by the mask."""
@@ -96,34 +90,59 @@ def _indicators(width: int) -> list[tuple]:
     return table
 
 
-def tutte_delcon(g: MultiGraph) -> MPoly:
-    """Z_G(q, t) by deletion-contraction, pivoting on the first regular edge
-    when one exists.  Must agree with tutte_poly on every graph.
+def _canonical(edges, gone: int = -1, keep: int = -1) -> tuple:
+    """The packed edges with vertex `gone` merged into `keep`, relabelled
+    0, 1, ... in order of first appearance.  Two subgraphs that differ only
+    by their vertex labels then have equal tuples."""
+    label: dict[int, int] = {}
+    out = []
+    for b, u, v in edges:
+        if u == gone:
+            u = keep
+        if v == gone:
+            v = keep
+        u = label.setdefault(u, len(label))
+        out.append((b, u, label.setdefault(v, len(label))))
+    return tuple(out)
 
-    The recursion maps each subgraph to its terms {k << E | edge mask: 1},
-    with one mask bit per edge of g, and memoises on the subgraph until
-    this call returns."""
+
+def tutte_delcon(g: MultiGraph) -> MPoly:
+    """Z_G(q, t) by deletion-contraction on the first edge.  Must agree with
+    tutte_poly on every graph.
+
+    A subgraph is (n, edges): n vertices, and its edges as (bit, u, v) ints
+    in g.edges order, bit the edge's mask bit (its place in variable order)
+    and the vertices relabelled in order of first appearance.  The recursion
+    maps each subgraph to its terms {k << E | edge mask: 1} and memoises on
+    (n, edges) until this call returns, so subgraphs that differ only by
+    vertex labels share one entry.  Deletion-contraction holds for every
+    edge of the multivariate Z, so the pivot is always the first edge; a
+    loop's deletion and contraction are the same subgraph."""
     check_edge_budget(g.edge_count)
     edges = _ordered_edges(g.edges)
     width = len(edges)
     bit = {eid: 1 << i for i, (eid, _, _) in enumerate(edges)}
-    memo: dict[MultiGraph, dict[int, int]] = {}
+    memo: dict[tuple, dict[int, int]] = {}
 
-    def z(h: MultiGraph) -> dict[int, int]:
-        if h in memo:
-            return memo[h]
-        if h.edge_count == 0:
-            out = {h.vertex_count << width: 1}
+    def z(n: int, packed: tuple) -> dict[int, int]:
+        key = (n, packed)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        if not packed:
+            out = {n << width: 1}
         else:
-            pivot = _pivot(h)
-            b = bit[pivot]
+            (b, u, v), rest = packed[0], packed[1:]
+            deleted = z(n, _canonical(rest))
+            # a loop contracts to its deletion
+            contracted = deleted if u == v else z(n - 1, _canonical(rest, v, u))
+            out = dict(deleted)
             # only the contracted side holds the pivot, so no key is shared
-            out = dict(z(h.delete_edge(pivot)))
-            out.update({key | b: c for key, c in z(h.contract_edge(pivot)).items()})
-        memo[h] = out
+            out.update({m | b: c for m, c in contracted.items()})
+        memo[key] = out
         return out
 
-    top = z(g)
+    top = z(g.vertex_count, _canonical((bit[eid], u, v) for eid, u, v in g.edges))
     memo.clear()  # free the subgraphs' terms before the tuples are built
     # a mask's 0/1 tuple is the join of its two halves' tuples, looked up
     half = width // 2

@@ -2,6 +2,8 @@
 Kronecker substitution, against a schoolbook reference written here."""
 
 import math
+import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -90,6 +92,16 @@ def test_sum_and_difference(a, b):
     assert (a + b).coeffs == _trim(x + y for x, y in zip(padded_a, padded_b))
     assert (a - b).coeffs == _trim(x - y for x, y in zip(padded_a, padded_b))
     assert a - a == ZERO and (a - b) + b == a
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("other", [Fraction(1, 2), 1.5, 2.0])
+def test_foreign_operand_raises_type_error(op, other):
+    # neither a class nor an int: no silent truncation, in either order
+    with pytest.raises(TypeError):
+        op(T, other)
+    with pytest.raises(TypeError):
+        op(other, T)
 
 
 @pytest.mark.parametrize("sign", [-1, 1])

@@ -1,3 +1,6 @@
+import operator
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,16 @@ def test_integer_mixing():
     assert 2 * Q - Q == Q
     assert (Q + 1) * (Q - 1) == Q**2 - 1
     assert 1 - (1 - Q) == Q
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("other", [Fraction(1, 2), 1.5, 2.0])
+def test_foreign_operand_raises_type_error(op, other):
+    # neither a polynomial nor an int: no silent truncation, in either order
+    with pytest.raises(TypeError):
+        op(Q, other)
+    with pytest.raises(TypeError):
+        op(other, Q)
 
 
 def test_substitute_examples():

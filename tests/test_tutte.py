@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 from pottsmotive import tutte
 from pottsmotive.errors import InvalidArgumentError, ResourceLimitError
 from pottsmotive.mpoly import MPoly, Q, edge_var
-from pottsmotive.multigraph import MultiGraph, banana, polygon
+from pottsmotive.multigraph import (
+    FamilySpec,
+    MultiGraph,
+    banana,
+    chain_bananas,
+    chain_polygons,
+    polygon,
+)
 from pottsmotive.tutte import (
     connecting_split,
     doubling_residual_poly,
@@ -52,7 +59,8 @@ def test_subset_and_delcon_agree(run_checks):
 
 
 def _delcon_last_edge(g):
-    # same recursion pivoting on the last edge instead of the first regular one
+    # the textbook recursion on MultiGraph surgery, pivoting on the last edge
+    # instead of the first
     if g.edge_count == 0:
         return Q**g.vertex_count
     eid = g.edges[-1][0]
@@ -233,3 +241,30 @@ def test_routes_stay_independent(monkeypatch, triangle):
     monkeypatch.undo()
     monkeypatch.setattr(tutte, "_subsets", forbidden)
     tutte_delcon(triangle)
+
+
+def test_delcon_recursion_makes_no_multigraph_surgery(monkeypatch, triangle):
+    def forbidden(*args):
+        raise AssertionError("tutte_delcon called MultiGraph surgery")
+
+    graphs = (triangle, banana(3), chain_polygons(FamilySpec(1, 1, 2)))
+    expected = [tutte_poly(g) for g in graphs]
+    for name in ("delete_edge", "contract_edge", "classify_edge"):
+        monkeypatch.setattr(MultiGraph, name, forbidden)
+    assert [tutte_delcon(g) for g in graphs] == expected
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        chain_polygons(FamilySpec(0, 3, 4)),
+        chain_bananas(FamilySpec(1, 2, 4)),
+        polygon(12),
+    ],
+    ids=["chain-polygons-0-3-4", "chain-bananas-1-2-4", "polygon-12"],
+)
+def test_delcon_matches_subsets_beyond_the_random_graphs(g):
+    # 12-14 edges with loops, bridges and parallel pairs, past the 8 edges of
+    # the hypothesis strategy
+    assert g.edge_count >= 12
+    assert tutte_delcon(g) == tutte_poly(g)
