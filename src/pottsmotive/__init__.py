@@ -61,6 +61,7 @@ from .multigraph import (
 from .pointcount import (
     CountReport,
     complement_class,
+    complement_report,
     count_complement,
     count_fixed_q,
     count_report,

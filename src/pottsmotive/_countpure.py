@@ -19,6 +19,9 @@ Early exits keep the recursion far below q^nvars nodes in practice:
   - a polynomial that vanishes identically stops constraining the branch,
   - a single polynomial of degree <= 1 in each of the last two or three
     variables is finished off in closed form,
+  - a single polynomial of degree <= 1 in each of the last four variables
+    is finished in one loop over the first of them, each value's slice
+    counted by the three-variable closed form with no further recursion,
   - so is a pair of polynomials of degree <= 1 in each of the last two
     variables.
 
@@ -200,11 +203,13 @@ def _count(polys, nvars, F):
         shape, coeffs = polys[0]
         if nvars == 1:
             return _univariate_zeros(coeffs, F)
-        if nvars <= 3 and max(shape) <= 2:
+        if nvars <= 4 and max(shape) <= 2:
             c = _multilinear(shape, coeffs)
             if nvars == 2:
                 return _bilinear_zeros(c, F)
-            return _trilinear_zeros(c, F)
+            if nvars == 3:
+                return _trilinear_zeros(c, F)
+            return _quadrilinear_zeros(c, F)
     elif len(polys) == 2 and nvars == 2:
         (s1, c1), (s2, c2) = polys
         if max(s1) <= 2 and max(s2) <= 2:
@@ -354,6 +359,19 @@ def _trilinear_zeros(f, F):
         ndc = _affine_common_roots([(c0, c1)], F)
         nall = _affine_common_roots([(a0, a1), (b0, b1), (c0, c1)], F)
     return (q - nd) * (q - 1) + q * (nq - ndb - ndc + nd + q * nall)
+
+
+def _quadrilinear_zeros(f, F):
+    """Zeros of L + w*H over F_q^4, L and H trilinear in the last three
+    variables: the closed form of _trilinear_zeros summed over the q values
+    of w, each slice built straight from the coefficients."""
+    add, mul = F.add, F.mul
+    lo, hi = f[:8], f[8:]
+    total = 0
+    for v in range(F.size):
+        times_v = mul[v]
+        total += _trilinear_zeros([add[times_v[h]][l] for h, l in zip(hi, lo)], F)
+    return total
 
 
 def _bilinear_pair_zeros(f, g, F):

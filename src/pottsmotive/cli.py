@@ -312,12 +312,7 @@ def cmd_count(file, family, m, k, n, primes, check_prime, q0):
     dim = _oracle_dim(g, q0, sample_primes, check_prime)
     z = tutte.tutte_delcon(g)
     if q0 is None:
-        report = pointcount.count_report(
-            lambda p: pointcount.count_complement(z, dim, p),
-            dim,
-            sample_primes,
-            check_prime,
-        )
+        report = pointcount.complement_report(z, dim, sample_primes, check_prime)
     else:
         report = pointcount.fixed_q_report(z, q0, dim, sample_primes, check_prime)
     click.echo(json.dumps(report.to_json()))

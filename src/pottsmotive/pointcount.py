@@ -18,6 +18,11 @@ hypersurfaces need not be polynomial-count (Belkale and Brosnan,
 arXiv:math/0012198), so a reserved check field and the exactness of every
 division guard the fit.
 
+A report converts its polynomials to the kernel's dense form once and
+counts every sample and check field from that one system; a fixed-q report
+substitutes the integer q0 once, since each field reads the slice's integer
+coefficients mod its characteristic.
+
 POTTS_BUDGET caps the nominal enumeration size q^d per count and the sum of
 q^d over the sample and check fields of a report (default 10^8).
 """
@@ -99,25 +104,37 @@ def _dense_system(polys: Sequence[MPoly]):
     return names, dense
 
 
+def _locus_counter(polys: Sequence[MPoly], ambient_dim: int) -> Callable[[int], int]:
+    """The number of points of F_q^ambient_dim where every polynomial
+    vanishes, as a function of the field size q.  The polynomials are
+    converted to the kernel's dense form once, here, so that every field of
+    a report counts the same system; a field is checked when it is counted."""
+    constraints = [p for p in polys if not p.is_zero]
+    names, dense = _dense_system(constraints) if constraints else ([], [])
+    nvars = len(names)
+    if nvars > ambient_dim:
+        raise InvalidArgumentError(
+            f"{nvars} variables do not fit in ambient dimension {ambient_dim}"
+        )
+
+    def zeros(q: int) -> int:
+        _check_fields((q,))
+        _check_budget(q, ambient_dim)
+        if not dense:
+            return q**ambient_dim
+        # through the module attribute, so a wrapper rebound there sees every call
+        return _countpure.count_common_zeros(dense, nvars, q) * q ** (ambient_dim - nvars)
+
+    return zeros
+
+
 def count_zero_locus(
     polys: Sequence[MPoly],
     ambient_dim: int,
     q: int,
 ) -> int:
     """Points of F_q^ambient_dim where every polynomial vanishes."""
-    _check_fields((q,))
-    _check_budget(q, ambient_dim)
-    constraints = [p for p in polys if not p.is_zero]
-    if not constraints:
-        return q**ambient_dim
-    names, dense = _dense_system(constraints)
-    if len(names) > ambient_dim:
-        raise InvalidArgumentError(
-            f"{len(names)} variables do not fit in ambient dimension {ambient_dim}"
-        )
-    # through the module attribute, so a wrapper rebound there sees every call
-    zeros = _countpure.count_common_zeros(dense, len(names), q)
-    return zeros * q ** (ambient_dim - len(names))
+    return _locus_counter(polys, ambient_dim)(q)
 
 
 def count_complement(poly: MPoly, ambient_dim: int, q: int) -> int:
@@ -323,14 +340,37 @@ def interpolate_class(
 # -- class-level helpers --------------------------------------------------------
 
 
+def _locus_report(
+    polys: Sequence[MPoly],
+    ambient_dim: int,
+    primes: Sequence[int] | None = None,
+    check_prime: int | None = None,
+) -> CountReport:
+    """count_report of the complement of the common zero locus, planned
+    before the polynomials are converted and counted from one conversion."""
+    primes, check_prime = sample_plan(ambient_dim, primes, check_prime)
+    zeros = _locus_counter(polys, ambient_dim)
+    return count_report(
+        lambda q: q**ambient_dim - zeros(q), ambient_dim, primes, check_prime
+    )
+
+
+def complement_report(
+    poly: MPoly,
+    ambient_dim: int,
+    primes: Sequence[int] | None = None,
+    check_prime: int | None = None,
+) -> CountReport:
+    """count_report of the complement of {poly = 0} in A^ambient_dim."""
+    return _locus_report([poly], ambient_dim, primes, check_prime)
+
+
 def complement_class(poly: MPoly, ambient_dim: int) -> ClassPoly:
     """{X}: class of the complement of {poly = 0} in affine ambient space;
     0, uncounted, for the zero polynomial."""
     if poly.is_zero:
         return ClassPoly.zero()
-    return interpolate_class(
-        lambda q: count_complement(poly, ambient_dim, q), ambient_dim
-    )
+    return complement_report(poly, ambient_dim).interpolated
 
 
 def locus_complement_class(polys: Sequence[MPoly], ambient_dim: int) -> ClassPoly:
@@ -338,10 +378,7 @@ def locus_complement_class(polys: Sequence[MPoly], ambient_dim: int) -> ClassPol
     when every polynomial is zero."""
     if all(p.is_zero for p in polys):
         return ClassPoly.zero()
-    return interpolate_class(
-        lambda q: q**ambient_dim - count_zero_locus(polys, ambient_dim, q),
-        ambient_dim,
-    )
+    return _locus_report(polys, ambient_dim).interpolated
 
 
 def fixed_q_report(
@@ -352,14 +389,12 @@ def fixed_q_report(
     check_prime: int | None = None,
 ) -> CountReport:
     """count_report of the fixed-q complement slice at q0; see sample_plan
-    for the fields it samples and the q0 it refuses."""
+    for the fields it samples and the q0 it refuses.  The integer q0 is
+    substituted once: every coefficient of the slice is then read mod the
+    characteristic of each field, which is the same as substituting
+    q0 % char there."""
     primes, check_prime = sample_plan(edge_count, primes, check_prime, q0=q0)
-    return count_report(
-        lambda q: count_fixed_q(poly, q0, edge_count, q),
-        edge_count,
-        primes,
-        check_prime,
-    )
+    return complement_report(poly.substitute("q", q0), edge_count, primes, check_prime)
 
 
 def fixed_q_class(poly: MPoly, edge_count: int) -> ClassPoly:

@@ -219,9 +219,7 @@ def suite_oracle(max_dim: int = 5) -> Iterator[Check]:
 
 
 def _roundtrip(z: MPoly, dim: int):
-    report = pointcount.count_report(
-        lambda p: pointcount.count_complement(z, dim, p), dim
-    )
+    report = pointcount.complement_report(z, dim)
     ok = all(report.interpolated.eval_int(p - 1) == n for p, n in report.samples)
     return ok, "interpolation reproduces all samples"
 

@@ -260,3 +260,47 @@ def test_multilinear_systems_match_brute_force(data):
     polys = [data.draw(multilinear_polys(nvars)) for _ in range(npolys)]
     expected = brute_force(polys, nvars, q)
     assert _countpure.count_common_zeros(polys, nvars, q) == expected
+
+
+# Four multilinear variables (w, x, y, z) are counted in one loop over w.
+# The 16 coefficients are L + w*H: L the first eight and H the last eight,
+# each in the three-variable layout above.  F_11 has 11^4 points, above
+# SMALL_SYSTEMS.
+TRILINEAR = [1, 2, 0, 1, 3, 1, 1, 1]  # nonzero mod 2 and mod 3
+FOUR_VARIABLE_CASES = {
+    "H-zero": ((2, 2, 2, 2), [1, 0, 0, 1, 0, 1, 1, 0] + [0] * 8),
+    "L-zero": ((2, 2, 2, 2), [0] * 8 + TRILINEAR),
+    "general": ((2, 2, 2, 2), [1, 0, 0, 1, 0, 1, 1, 0] + TRILINEAR),
+    # L = -2H, so the w = 2 slice vanishes identically (w = 0 in
+    # characteristic 2)
+    "slice-vanishes": ((2, 2, 2, 2), [-2 * c for c in TRILINEAR] + TRILINEAR),
+    "first-narrow": ((1, 2, 2, 2), TRILINEAR),
+    "third-narrow": ((2, 2, 1, 2), [1, 0, 0, 1, 0, 3, 1, 1]),
+    # the constant 5, laid out in the full shape, so every slice is 5
+    "constant": ((2, 2, 2, 2), [5] + [0] * 15),
+}
+
+
+@pytest.mark.parametrize("q", [8, 9, 11])
+@pytest.mark.parametrize("case", FOUR_VARIABLE_CASES)
+def test_four_variable_loop_matches_brute_force(case, q):
+    polys = [FOUR_VARIABLE_CASES[case]]
+    assert _countpure.count_common_zeros(polys, 4, q) == brute_force(polys, 4, q)
+
+
+def test_four_variable_loop_does_not_recurse(monkeypatch):
+    # one _count call, and no slice is specialized on its way to the leaf
+    count, calls = _countpure._count, []
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    def never(*args):
+        raise AssertionError("specialized a four-variable multilinear polynomial")
+
+    monkeypatch.setattr(_countpure, "_count", counted)
+    monkeypatch.setattr(_countpure, "_specialize", never)
+    polys = [FOUR_VARIABLE_CASES["general"]]
+    assert _countpure.count_common_zeros(polys, 4, 11) == brute_force(polys, 4, 11)
+    assert len(calls) == 1

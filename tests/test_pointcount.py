@@ -1,7 +1,11 @@
-import pytest
+import json
 
-from pottsmotive import _countpure
+import pytest
+from click.testing import CliRunner
+
+from pottsmotive import _countpure, pointcount
 from pottsmotive.classpoly import T, ClassPoly
+from pottsmotive.cli import cli
 from pottsmotive.errors import (
     InvalidArgumentError,
     NotPolynomialCountError,
@@ -11,6 +15,7 @@ from pottsmotive.mpoly import MPoly, Q, edge_var
 from pottsmotive.multigraph import banana, polygon
 from pottsmotive.pointcount import (
     complement_class,
+    complement_report,
     count_complement,
     count_fixed_q,
     count_report,
@@ -18,6 +23,7 @@ from pottsmotive.pointcount import (
     default_check_prime,
     default_primes,
     fixed_q_class,
+    fixed_q_report,
     interpolate_class,
     kernel_backend,
     locus_complement_class,
@@ -263,3 +269,91 @@ def test_zero_polynomial_complement_class_is_zero(monkeypatch):
     assert complement_class(MPoly.zero(), 3) == ClassPoly.zero()
     assert locus_complement_class([MPoly.zero(), MPoly.zero()], 3) == ClassPoly.zero()
     assert locus_complement_class([], 2) == ClassPoly.zero()
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Counts of the calls to the dense conversion and to the kernel,
+    through counting wrappers on both module attributes."""
+    calls = {"dense": 0, "kernel": 0}
+    dense, kernel = pointcount._dense_system, _countpure.count_common_zeros
+
+    def counted_dense(*args):
+        calls["dense"] += 1
+        return dense(*args)
+
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(pointcount, "_dense_system", counted_dense)
+    monkeypatch.setattr(_countpure, "count_common_zeros", counted_kernel)
+    return calls
+
+
+def test_a_report_converts_once(conversions):
+    # the kernel counts every sample field and the check field; the
+    # polynomials are converted for the first of them only
+    triangle = tutte_delcon(polygon(3))
+    z_del = tutte_delcon(banana(2))
+    z_con = tutte_delcon(polygon(1))
+    reports = [
+        (lambda: complement_class(triangle, 4), 4),
+        (lambda: locus_complement_class([z_del, z_con * T1], 3), 3),
+        (lambda: fixed_q_report(triangle, 2, 3), 3),
+    ]
+    for run, dim in reports:
+        conversions["dense"] = conversions["kernel"] = 0
+        run()
+        assert conversions == {"dense": 1, "kernel": dim + 1}
+
+
+@pytest.mark.parametrize("extra,dim", [([], 4), (["--q", "2"], 3)])
+def test_potts_count_converts_once(conversions, extra, dim):
+    result = CliRunner().invoke(
+        cli, ["count", "--family", "polygon", "--m", "2"] + extra
+    )
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)["samples"]) == dim
+    assert conversions == {"dense": 1, "kernel": dim + 1}
+
+
+@pytest.mark.parametrize("graph", [polygon(3), banana(3)], ids=["triangle", "banana3"])
+@pytest.mark.parametrize("q0", [-1, 1157])  # 1157 is 2 mod 3, 5, 7 and 11
+def test_fixed_q_report_substitutes_q0_once(graph, q0):
+    # the integer q0 in every field counts as q0 % char in that field
+    z = tutte_delcon(graph)
+    edges = graph.edge_count
+    report = fixed_q_report(z, q0, edges)
+    assert report.samples == tuple(
+        (q, count_fixed_q(z, q0, edges, q)) for q, _ in report.samples
+    )
+    check, _, observed = report.check
+    assert observed == count_fixed_q(z, q0, edges, check)
+    assert report.interpolated == fixed_q_class(z, edges)
+
+
+def test_refusals_come_before_any_conversion(monkeypatch):
+    def never(*args):
+        raise AssertionError("converted a refused report")
+
+    monkeypatch.setattr(pointcount, "_dense_system", never)
+    monkeypatch.setenv("POTTS_BUDGET", "100")  # the triangle's plans need more
+    z = tutte_delcon(polygon(3))
+    with pytest.raises(ResourceLimitError):
+        complement_class(z, 4)
+    with pytest.raises(ResourceLimitError):
+        complement_report(z, 4)
+    with pytest.raises(ResourceLimitError):
+        fixed_q_report(z, 2, 3)
+    with pytest.raises(InvalidArgumentError, match="degenerates"):
+        fixed_q_report(z, 2, 2, (3, 4), 5)
+
+
+def test_too_many_variables_refused_by_a_report():
+    with pytest.raises(InvalidArgumentError, match="do not fit"):
+        complement_class(Q * T1 * T2, 2)
+    with pytest.raises(InvalidArgumentError, match="do not fit"):
+        locus_complement_class([Q, T1 * T2], 2)
+    with pytest.raises(InvalidArgumentError, match="do not fit"):
+        fixed_q_report(Q * T1 * T2, 2, 1)
