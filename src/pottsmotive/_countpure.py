@@ -4,7 +4,11 @@ Counts the common zeros of a system of integer polynomials over a finite
 field F_q by specializing one variable at a time, outermost first.  A
 polynomial is dense: a pair (shape, coeffs) where shape[i] is 1 + the degree
 in variable i and coeffs is the flat row-major coefficient list (last
-variable fastest, so flat index = e0*prod(shape[1:]) + ...).
+variable fastest, so flat index = e0*prod(shape[1:]) + ...).  Given first,
+an element of F_q, count_common_zeros fixes the first variable there and
+counts the others; a fixed-q slice is counted so, from the system of Z_G
+with q first, at elements such as the generator x of F_4 and F_8 that no
+integer reaches.
 
 The supported fields are F_p for a prime p and F_4, F_8 and F_9.  An element
 of F_q is an int in range(q) whose base-p digits are its coefficients in
@@ -154,19 +158,31 @@ def _modular_field(p):
     )
 
 
-def count_common_zeros(polys, nvars, q):
-    """Number of points of F_q^nvars at which every polynomial vanishes."""
+def count_common_zeros(polys, nvars, q, *, first=None):
+    """Number of points of F_q^nvars at which every polynomial vanishes.
+
+    With first, an element of F_q, the first variable is fixed there
+    instead: the number of points of F_q^(nvars - 1) at which every
+    polynomial, with its first variable set to first, vanishes.  The
+    integer coefficients are reduced mod the characteristic before first
+    is substituted: reduced after, an element of F_4, F_8 or F_9 such as x
+    would be read as an integer and corrupted."""
     F = field(q)
+    if first is not None and not (nvars and 0 <= first < q):
+        raise ValueError(f"no first variable to fix at {first} in F_{q}")
+    free = nvars if first is None else nvars - 1
     active = []
     for shape, coeffs in polys:
         if len(shape) != nvars:
             raise ValueError("polynomial shape does not match the variable count")
-        reduced = [c % F.char for c in coeffs]
-        if any(reduced):
-            active.append((tuple(shape), reduced))
+        poly = (tuple(shape), [c % F.char for c in coeffs])
+        if first is not None:
+            poly = _specialize(*poly, first, F)  # None when it vanishes there
+        if poly and any(poly[1]):
+            active.append(poly)
     if not active:
-        return q**nvars
-    return _count(active, nvars, F)
+        return q**free
+    return _count(active, free, F)
 
 
 def brute_force(polys, nvars, q):

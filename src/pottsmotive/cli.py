@@ -176,7 +176,7 @@ def _oracle_dim(g: MultiGraph, q0=None, primes=None, check_prime=None) -> int:
 
 
 def _oracle_class(graph: MultiGraph, fixed_q: bool):
-    # fixed_q_class counts the slice at q = 2
+    # fixed_q_class counts the slice at q = 2, and at x in F_4 and F_8
     dim = _oracle_dim(graph, 2 if fixed_q else None)
     z = tutte.tutte_delcon(graph)
     if fixed_q:
@@ -302,7 +302,14 @@ def cmd_chi(family, m_grid, k_grid, n_grid, fmt):
     default=None,
     help="Size of the reserved check field, a prime or 4, 8, 9.",
 )
-@click.option("--q", "q0", type=int, default=None, help="Count the fixed-q slice at this q.")
+@click.option(
+    "--q",
+    "q0",
+    type=int,
+    default=None,
+    help="Count the fixed-q slice at this q: q mod p in characteristic p odd, "
+    "and the generator x of F_4 and F_8 in characteristic 2.",
+)
 @_exits
 def cmd_count(file, family, m, k, n, primes, check_prime, q0):
     """Count complement points over the sample fields and interpolate the

@@ -19,9 +19,12 @@ arXiv:math/0012198), so a reserved check field and the exactness of every
 division guard the fit.
 
 A report converts its polynomials to the kernel's dense form once and
-counts every sample and check field from that one system; a fixed-q report
-substitutes the integer q0 once, since each field reads the slice's integer
-coefficients mod its characteristic.
+counts every sample and check field from that one system.  A fixed-q report
+counts the system of Z_G itself, q first, and the kernel fixes q at a field
+element: q0 % char in odd characteristic, and the generator x of F_4 and
+F_8, where the integer q0 would be 0 or 1.  Its plan is the ladder minus
+F_2, which has no such element; by the independence of the fixed-q class
+from the fixed q, every field's count is one class at q - 1.
 
 POTTS_BUDGET caps the nominal enumeration size q^d per count and the sum of
 q^d over the sample and check fields of a report (default 10^8).
@@ -104,26 +107,37 @@ def _dense_system(polys: Sequence[MPoly]):
     return names, dense
 
 
-def _locus_counter(polys: Sequence[MPoly], ambient_dim: int) -> Callable[[int], int]:
+def _locus_counter(
+    polys: Sequence[MPoly], ambient_dim: int, *, fixed_q: bool = False
+) -> Callable[..., int]:
     """The number of points of F_q^ambient_dim where every polynomial
-    vanishes, as a function of the field size q.  The polynomials are
-    converted to the kernel's dense form once, here, so that every field of
-    a report counts the same system; a field is checked when it is counted."""
+    vanishes, as a function of the field size q.  With fixed_q, q is no
+    coordinate: the function also takes the element of F_q that q is fixed
+    to, and the kernel fixes it there.  The polynomials are converted to the
+    kernel's dense form once, here, so that every field of a report counts
+    the same system; a field is checked when it is counted."""
     constraints = [p for p in polys if not p.is_zero]
     names, dense = _dense_system(constraints) if constraints else ([], [])
     nvars = len(names)
-    if nvars > ambient_dim:
+    sliced = fixed_q and names[:1] == ["q"]  # q sorts first when present
+    free = nvars - sliced
+    if free > ambient_dim:
         raise InvalidArgumentError(
-            f"{nvars} variables do not fit in ambient dimension {ambient_dim}"
+            f"{free} variables do not fit in ambient dimension {ambient_dim}"
         )
 
-    def zeros(q: int) -> int:
+    def zeros(q: int, element: int | None = None) -> int:
         _check_fields((q,))
         _check_budget(q, ambient_dim)
         if not dense:
             return q**ambient_dim
-        # through the module attribute, so a wrapper rebound there sees every call
-        return _countpure.count_common_zeros(dense, nvars, q) * q ** (ambient_dim - nvars)
+        # through the module attribute, so a wrapper rebound there sees every
+        # call; first is passed by keyword only, and only to fix q
+        if sliced:
+            n = _countpure.count_common_zeros(dense, nvars, q, first=element)
+        else:
+            n = _countpure.count_common_zeros(dense, nvars, q)
+        return n * q ** (ambient_dim - free)
 
     return zeros
 
@@ -142,11 +156,31 @@ def count_complement(poly: MPoly, ambient_dim: int, q: int) -> int:
     return q**ambient_dim - count_zero_locus([poly], ambient_dim, q)
 
 
+def fixed_q_counter(poly: MPoly, edge_count: int) -> Callable[[int, int], int]:
+    """The points of the fixed-q slice (t-space only) where poly(a, t) != 0,
+    as a function of the field size q and the element a of F_q; poly is
+    converted once, with q as its first variable, for every field and
+    element counted."""
+    zeros = _locus_counter([poly], edge_count, fixed_q=True)
+    return lambda q, a: q**edge_count - zeros(q, a)
+
+
+def _slice_element(q0: int, q: int) -> int:
+    """The element of F_q at which the fixed-q slice at the integer q0 is
+    counted: q0 % char in odd characteristic, and the generator x (element
+    2) of F_4 and F_8, whatever q0 is, since every integer is 0 or 1 there.
+    F_2 has no other element, so there it is q0 % 2, which degenerates."""
+    char = _characteristic(q)
+    if char == 2 and q > 2:
+        return 2
+    return q0 % char
+
+
 def count_fixed_q(poly: MPoly, q0: int, ambient_dim: int, q: int) -> int:
     """Points of the fixed-q slice (t-space only) over F_q where
-    poly(q0, t) != 0; the integer q0 is the element q0 % char of F_q."""
+    poly(q0, t) != 0, q0 taken to the element _slice_element(q0, q)."""
     _check_fields((q,))
-    return count_complement(poly.substitute("q", q0 % _characteristic(q)), ambient_dim, q)
+    return fixed_q_counter(poly, ambient_dim)(q, _slice_element(q0, q))
 
 
 # -- interpolation -------------------------------------------------------------
@@ -209,27 +243,25 @@ def _check_fields(sizes: Iterable[int]) -> None:
         )
 
 
-def _ladder(odd_characteristic: bool) -> list[int]:
-    return [q for q in FIELD_LADDER if not (odd_characteristic and q % 2 == 0)]
+def _ladder(fixed_q: bool) -> tuple[int, ...]:
+    """The ladder of a plan; a fixed-q plan drops F_2, whose only elements
+    are 0 and 1, at which every fixed-q slice degenerates."""
+    return FIELD_LADDER[1:] if fixed_q else FIELD_LADDER
 
 
-def default_primes(
-    ambient_dim: int, *, odd_characteristic: bool = False
-) -> tuple[int, ...]:
+def default_primes(ambient_dim: int, *, fixed_q: bool = False) -> tuple[int, ...]:
     """The d = ambient_dim sample fields of a plan: the first d sizes of the
     ladder, which must leave one above them for the check field."""
-    ladder = _ladder(odd_characteristic)
+    ladder = _ladder(fixed_q)
     if ambient_dim + 1 > len(ladder):
         raise InvalidArgumentError("ambient dimension beyond the prime ladder")
     return tuple(ladder[:ambient_dim])
 
 
-def default_check_prime(
-    primes: Iterable[int], *, odd_characteristic: bool = False
-) -> int:
+def default_check_prime(primes: Iterable[int], *, fixed_q: bool = False) -> int:
     """The check field of a plan: the first ladder size above every sample."""
     top = max(primes, default=0)
-    for q in _ladder(odd_characteristic):
+    for q in _ladder(fixed_q):
         if q > top:
             return q
     raise InvalidArgumentError("no check field left on the ladder")
@@ -269,21 +301,22 @@ def sample_plan(
     sizes and refused before anything is counted: fewer than ambient_dim or
     repeated sample fields, a check field among the samples, an unsupported
     field, a dimension beyond the ladder, a nominal enumeration over
-    POTTS_BUDGET, or, for a fixed-q slice at q0, a field where q0 is 0 or 1
-    (the slice degenerates there, so its count says nothing about the class).
-    A fixed-q slice is sampled at fields of odd characteristic by default,
-    since the integer 2 is 0 in characteristic 2.  Callers that must first
-    build the polynomial to count call this before building it."""
-    odd = q0 is not None
+    POTTS_BUDGET, or, for a fixed-q slice at q0, a field where the slice's
+    element (see _slice_element) is 0 or 1: F_2, or an odd field where q0 is
+    0 or 1 mod its characteristic (the slice degenerates there, so its count
+    says nothing about the class).  A fixed-q plan samples the ladder minus
+    F_2 by default, F_4 and F_8 at their generator x.  Callers that must
+    first build the polynomial to count call this before building it."""
+    fixed_q = q0 is not None
     if primes is None:
-        primes = default_primes(ambient_dim, odd_characteristic=odd)
+        primes = default_primes(ambient_dim, fixed_q=fixed_q)
     primes = tuple(primes)
     if len(primes) < ambient_dim:
         raise InvalidArgumentError(
             f"need at least {ambient_dim} sample primes, got {len(primes)}"
         )
     if check_prime is None:
-        check_prime = default_check_prime(primes, odd_characteristic=odd)
+        check_prime = default_check_prime(primes, fixed_q=fixed_q)
     if len(set(primes)) != len(primes):
         raise InvalidArgumentError(f"sample primes {primes} repeat a prime")
     if check_prime in primes:
@@ -291,7 +324,7 @@ def sample_plan(
     _check_fields(primes + (check_prime,))
     if q0 is not None:
         for q in primes + (check_prime,):
-            value = q0 % _characteristic(q)
+            value = _slice_element(q0, q)
             if value in (0, 1):
                 raise InvalidArgumentError(
                     f"q = {q0} is {value} in F_{q}; the fixed-q slice degenerates"
@@ -389,14 +422,20 @@ def fixed_q_report(
     check_prime: int | None = None,
 ) -> CountReport:
     """count_report of the fixed-q complement slice at q0; see sample_plan
-    for the fields it samples and the q0 it refuses.  The integer q0 is
-    substituted once: every coefficient of the slice is then read mod the
-    characteristic of each field, which is the same as substituting
-    q0 % char there."""
+    for the fields it samples and the q0 it refuses.  Every field counts
+    the one conversion of poly, with q fixed by the kernel at q0 % char in
+    odd characteristic and at the generator x of F_4 and F_8.  Mixing
+    elements across fields relies on the slice's class being independent of
+    the fixed q (verify checks it); a fit that broke that would fail its
+    check field."""
     primes, check_prime = sample_plan(edge_count, primes, check_prime, q0=q0)
-    return complement_report(poly.substitute("q", q0), edge_count, primes, check_prime)
+    complement = fixed_q_counter(poly, edge_count)
+    return count_report(
+        lambda q: complement(q, _slice_element(q0, q)), edge_count, primes, check_prime
+    )
 
 
 def fixed_q_class(poly: MPoly, edge_count: int) -> ClassPoly:
-    """Class of the fixed-q complement slice at q = 2; see fixed_q_report."""
+    """Class of the fixed-q complement slice at q = 2, counted at x in F_4
+    and F_8; see fixed_q_report."""
     return fixed_q_report(poly, 2, edge_count).interpolated

@@ -225,13 +225,13 @@ def _roundtrip(z: MPoly, dim: int):
 
 
 def _fixed_q_independent(g: MultiGraph, z: MPoly):
-    for prime in (3, 5, 7):
-        counts = {
-            pointcount.count_fixed_q(z, q0, g.edge_count, prime)
-            for q0 in range(2, prime)
-        }
+    # every element but 0 and 1, F_4 and F_8 included: a fixed-q report
+    # counts those fields at x, so its fit rests on this independence
+    complement = pointcount.fixed_q_counter(z, g.edge_count)
+    for q in (3, 4, 5, 7, 8):
+        counts = {complement(q, a) for a in range(2, q)}
         if len(counts) > 1:
-            return False, f"fixed-q counts differ at p={prime}: {sorted(counts)}"
+            return False, f"fixed-q counts differ at p={q}: {sorted(counts)}"
     return True, "independent of the fixed q"
 
 

@@ -123,6 +123,8 @@ def test_class_chain_variable_q_oracle_at_dimension_7(runner, monkeypatch):
         ["--family", "banana", "--m", "5", "--oracle"],  # dimension 7
         # dimension 6 with fixed q
         ["--family", "chain-polygon", "--m", "2", "--k", "0", "--N", "2", "--fixed-q", "--oracle"],
+        # dimension 7 with fixed q: F_4 and F_8 count the slice at x
+        ["--family", "chain-polygon", "--m", "2", "--k", "1", "--N", "2", "--fixed-q", "--oracle"],
     ],
 )
 def test_oracle_reach_under_the_default_budget(runner, monkeypatch, args):
@@ -136,8 +138,6 @@ def test_oracle_reach_under_the_default_budget(runner, monkeypatch, args):
     "args",
     [
         ["--family", "polygon", "--m", "6", "--oracle"],  # dimension 8
-        # dimension 7 with fixed q: no sample in characteristic 2
-        ["--family", "chain-polygon", "--m", "2", "--k", "1", "--N", "2", "--fixed-q", "--oracle"],
     ],
 )
 def test_oracle_beyond_the_default_budget_exit_3(runner, monkeypatch, args):

@@ -1,6 +1,7 @@
 """Tests of the counting kernel: its field tables on their own, and the
 kernel against the reference counter, a plain full enumeration."""
 
+import inspect
 import itertools
 import random
 
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pottsmotive import _countpure
+from pottsmotive import _countpure, pointcount
 from pottsmotive._countpure import brute_force
+from pottsmotive.multigraph import MultiGraph, banana, polygon
 from pottsmotive.pointcount import FIELD_LADDER
+from pottsmotive.tutte import tutte_delcon
 
 # the one kernel, under the backend name that the test ids have always carried
 KERNEL = pytest.mark.parametrize("kernel", [_countpure], ids=["pure"])
@@ -304,3 +307,97 @@ def test_four_variable_loop_does_not_recurse(monkeypatch):
     polys = [FOUR_VARIABLE_CASES["general"]]
     assert _countpure.count_common_zeros(polys, 4, 11) == brute_force(polys, 4, 11)
     assert len(calls) == 1
+
+
+# -- fixing the first variable -------------------------------------------------
+# A fixed-q slice is counted from the dense system of Z_G with q first, the
+# kernel fixing q at a field element: at x in F_4 and F_8, which no integer
+# coefficient reaches.
+
+
+def _random_graph():
+    rng = random.Random(11)
+    return MultiGraph(
+        3, tuple((str(i + 1), rng.randrange(3), rng.randrange(3)) for i in range(3))
+    )
+
+
+SLICED_GRAPHS = {"triangle": polygon(3), "3-banana": banana(3), "random": _random_graph()}
+SLICED_FIELDS = (3, 4, 8, 9, 11)
+
+
+def _z_system(graph):
+    names, dense = pointcount._dense_system([tutte_delcon(graph)])
+    assert names[0] == "q"
+    return dense, len(names)
+
+
+@KERNEL
+@pytest.mark.parametrize("q", SLICED_FIELDS)
+@pytest.mark.parametrize("graph", SLICED_GRAPHS)
+def test_slices_sum_to_the_full_count(kernel, graph, q):
+    polys, nvars = _z_system(SLICED_GRAPHS[graph])
+    slices = [kernel.count_common_zeros(polys, nvars, q, first=a) for a in range(q)]
+    assert sum(slices) == brute_force(polys, nvars, q)
+
+
+@KERNEL
+@pytest.mark.parametrize("q", SLICED_FIELDS)
+@pytest.mark.parametrize("graph", SLICED_GRAPHS)
+def test_slice_counts_are_frobenius_invariant(kernel, graph, q):
+    # integer coefficients: a and a^p are conjugate, so their slices have
+    # the same number of points
+    polys, nvars = _z_system(SLICED_GRAPHS[graph])
+    F = _countpure.field(q)
+    for a in range(q):
+        frobenius = 1
+        for _ in range(F.char):
+            frobenius = F.mul[frobenius][a]
+        assert kernel.count_common_zeros(
+            polys, nvars, q, first=a
+        ) == kernel.count_common_zeros(polys, nvars, q, first=frobenius)
+
+
+SLICE_CASES = [
+    # 1 + q at q = 0: the constant 1, no zero
+    ([((2,), [1, 1])], 1, 3, 0, 0),
+    # 1 + q at q = 1 in F_2: vanishes, so the one point of F_2^0 is a zero
+    ([((2,), [1, 1])], 1, 2, 1, 1),
+    # q*(1+t) at q = x of F_4: 1 + t, one zero; at q = 0: all four
+    ([((2, 2), [0, 0, 1, 1])], 2, 4, 2, 1),
+    ([((2, 2), [0, 0, 1, 1])], 2, 4, 0, 4),
+    # q + t over F_8 at q = x: t = x
+    ([((2, 2), [0, 1, 1, 0])], 2, 8, 2, 1),
+    # {q + t, q + 2s} in F_9 at q = 4 (the element x + 1): t = s
+    ([((2, 2, 1), [0, 1, 1, 0]), ((2, 1, 2), [0, 2, 1, 0])], 3, 9, 4, 1),
+]
+
+
+@KERNEL
+@pytest.mark.parametrize("polys,nvars,q,first,expected", SLICE_CASES)
+def test_fixed_first_cases(kernel, polys, nvars, q, first, expected):
+    assert kernel.count_common_zeros(polys, nvars, q, first=first) == expected
+
+
+@KERNEL
+@pytest.mark.parametrize("first", [-1, 4])
+def test_first_outside_the_field_rejected(kernel, first):
+    with pytest.raises(ValueError):
+        kernel.count_common_zeros([((2, 2), [0, 0, 1, 1])], 2, 4, first=first)
+    with pytest.raises(ValueError):
+        kernel.count_common_zeros([((), [1])], 0, 4, first=0)
+
+
+def test_kernel_signature_keeps_three_positional_arguments():
+    # benchmark tracing unpacks (polys, nvars, q) from the positional
+    # arguments of every kernel call, so first is keyword-only
+    params = inspect.signature(_countpure.count_common_zeros).parameters
+    assert [(p.name, p.kind) for p in params.values()] == [
+        ("polys", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("nvars", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("q", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("first", inspect.Parameter.KEYWORD_ONLY),
+    ]
+    assert params["first"].default is None
+    with pytest.raises(TypeError):
+        _countpure.count_common_zeros([((2,), [0, 1])], 1, 3, 2)

@@ -145,10 +145,12 @@ def test_default_primes_and_check():
     assert default_check_prime((2, 3, 4, 5)) == 7
     assert default_primes(7) == (2, 3, 4, 5, 7, 8, 9)
     assert default_check_prime(default_primes(7)) == 11
-    assert default_primes(3, odd_characteristic=True) == (3, 5, 7)
-    assert default_check_prime((3, 5, 7), odd_characteristic=True) == 9
-    assert default_primes(6, odd_characteristic=True) == (3, 5, 7, 9, 11, 13)
-    assert default_check_prime((3, 5, 7, 9, 11, 13), odd_characteristic=True) == 17
+    # a fixed-q plan is the ladder minus F_2
+    assert default_primes(3, fixed_q=True) == (3, 4, 5)
+    assert default_check_prime((3, 4, 5), fixed_q=True) == 7
+    assert default_primes(7, fixed_q=True) == (3, 4, 5, 7, 8, 9, 11)
+    assert default_check_prime(default_primes(7, fixed_q=True), fixed_q=True) == 13
+    assert default_check_prime((), fixed_q=True) == 3
 
 
 def test_interpolate_loop_class():
@@ -243,22 +245,28 @@ def test_f2_complement_is_one():
         assert count_complement(z, g.edge_count + 1, 2) == 1
 
 
-def test_fixed_q_plan_has_odd_characteristic(monkeypatch):
-    # the integer 2 is 0 in characteristic 2, so F_2, F_4 and F_8 would
-    # degenerate every fixed-q slice at q = 2; the budget is lifted so that
-    # every plan on the ladder is built
+def test_fixed_q_plan_is_the_ladder_minus_f2(monkeypatch):
+    # F_2 has no element but 0 and 1 to fix q at; F_4 and F_8 fix it at x.
+    # The budget is lifted so that every plan on the ladder is built
     monkeypatch.setenv("POTTS_BUDGET", str(10**40))
-    for dim in range(12):
-        primes, check = sample_plan(dim, q0=2)
-        assert not {2, 4, 8} & set(primes + (check,))
-        assert len(primes) == dim
+    ladder = pointcount.FIELD_LADDER[1:]
+    for dim in range(len(ladder)):
+        assert sample_plan(dim, q0=2) == (ladder[:dim], ladder[dim])
     with pytest.raises(InvalidArgumentError, match="beyond the prime ladder"):
-        sample_plan(12, q0=2)
+        sample_plan(len(ladder), q0=2)
+    monkeypatch.delenv("POTTS_BUDGET")
+    assert sample_plan(5, q0=2) == ((3, 4, 5, 7, 8), 9)
+    assert sample_plan(7, q0=2) == ((3, 4, 5, 7, 8, 9, 11), 13)
 
 
 def test_fixed_q_plan_refuses_characteristic_two():
-    with pytest.raises(InvalidArgumentError, match="degenerates"):
-        sample_plan(2, (3, 4), 5, q0=2)
+    # F_2, and q0 = 0 or 1 mod an odd characteristic, still degenerate;
+    # F_4 and F_8 do not, whatever q0 is
+    for primes, check, q0 in [((2, 3), 5, 2), ((3, 5), 2, 2), ((3, 5), 7, 3), ((4, 5), 7, 6)]:
+        with pytest.raises(InvalidArgumentError, match="degenerates"):
+            sample_plan(2, primes, check, q0=q0)
+    for q0 in (-1, 0, 1, 2, 3):
+        assert sample_plan(1, (4,), 8, q0=q0) == ((4,), 8)
 
 
 def test_zero_polynomial_complement_class_is_zero(monkeypatch):
@@ -282,9 +290,9 @@ def conversions(monkeypatch):
         calls["dense"] += 1
         return dense(*args)
 
-    def counted_kernel(*args):
+    def counted_kernel(*args, **kwargs):
         calls["kernel"] += 1
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
     monkeypatch.setattr(pointcount, "_dense_system", counted_dense)
     monkeypatch.setattr(_countpure, "count_common_zeros", counted_kernel)
@@ -347,7 +355,7 @@ def test_refusals_come_before_any_conversion(monkeypatch):
     with pytest.raises(ResourceLimitError):
         fixed_q_report(z, 2, 3)
     with pytest.raises(InvalidArgumentError, match="degenerates"):
-        fixed_q_report(z, 2, 2, (3, 4), 5)
+        fixed_q_report(z, 2, 2, (2, 3), 5)
 
 
 def test_too_many_variables_refused_by_a_report():
