@@ -6,6 +6,17 @@ dict mapping exponent tuples to nonzero int coefficients; the variable tuple
 is pruned to the variables that actually occur and kept in a canonical order
 (q first, then edge variables in numeric-aware name order), so structural
 equality is polynomial equality and printing is deterministic.
+
+MPoly(...) validates its input: it copies the exponent tuples, converts the
+coefficients with int(), and drops zero terms and unused variables.  A
+result known to be valid skips that through the trusted _mpoly, whose
+caller guarantees that the variables are in canonical order and each occurs
+in some term, every key is a tuple of that length, and every coefficient is
+a nonzero int.  Its callers: negation, multiplication by a nonzero int, the
+product of two nonzero polynomials (over Z it uses every variable of both),
+a sum in which no coefficient cancels, and tutte_delcon on a graph with a
+vertex.  What can drop a variable (a cancelling sum, substitute,
+lowest_homogeneous_part, divide_exact_by_q_power) stays on MPoly(...).
 """
 
 from __future__ import annotations
@@ -99,6 +110,8 @@ class MPoly:
         pos = {n: i for i, n in enumerate(merged)}
 
         def remap(poly):
+            if poly.variables == merged:
+                return poly.terms
             out = {}
             idx = [pos[n] for n in poly.variables]
             for exps, c in poly.terms.items():
@@ -117,14 +130,21 @@ class MPoly:
             other = MPoly.const(other)
         names, a, b = self._aligned(other)
         out = dict(a)
+        cancelled = False
         for e, c in b.items():
-            out[e] = out.get(e, 0) + c
-        return MPoly(names, out)
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+                cancelled = True
+        # a cancelled term may have held the last power of a variable
+        return MPoly(names, out) if cancelled else _mpoly(names, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return _mpoly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["MPoly", int]) -> "MPoly":
         if not isinstance(other, MPoly):
@@ -144,14 +164,17 @@ class MPoly:
                 return NotImplemented
             if not other:
                 return MPoly.zero()
-            return MPoly(self.variables, {e: c * other for e, c in self.terms.items()})
+            return _mpoly(self.variables, {e: c * other for e, c in self.terms.items()})
+        if not self.terms or not other.terms:
+            return MPoly.zero()
         names, a, b = self._aligned(other)
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
                 out[e] = out.get(e, 0) + ca * cb
-        return MPoly(names, out)
+        # a product of nonzero polynomials over Z uses every variable of both
+        return _mpoly(names, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -298,7 +321,9 @@ class MPoly:
     def render(self) -> str:
         if not self.terms:
             return "0"
-        chunks = []
+        # one string per term, joined once: appending to one string is
+        # quadratic in the length of the output
+        parts = []
         for exps, c in self.sorted_terms():
             factors = []
             for name, e in zip(self.variables, exps):
@@ -313,18 +338,28 @@ class MPoly:
                 body = "*".join(factors)
             else:
                 body = "*".join([str(mag)] + factors)
-            chunks.append(("-" if c < 0 else "+", body))
-        sign, body = chunks[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+            if not parts:  # the leading sign has no space, and no "+"
+                parts.append("-" + body if c < 0 else body)
+            else:
+                parts.append(("- " if c < 0 else "+ ") + body)
+        return " ".join(parts)
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"MPoly<{self.render()}>"
+
+
+def _mpoly(variables: tuple, terms: dict) -> MPoly:
+    """An MPoly that takes `variables` and `terms` as they are: no copy, no
+    int(), no length check and no pruning.  The caller guarantees the
+    invariants MPoly(...) would establish (see the module docstring)."""
+    p = object.__new__(MPoly)
+    object.__setattr__(p, "variables", variables)
+    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "_hash", None)
+    return p
 
 
 Q = MPoly.var("q")

@@ -9,7 +9,9 @@ deletion-contraction routes are kept as independent implementations so each
 can serve as the oracle for the other.  They share no enumeration code: the
 subset routes walk every edge subset once (`_subsets`), while tutte_delcon
 recurses on subgraphs and never enumerates subsets.  Each route builds its
-terms in one dict and makes one MPoly at the end.  tutte_delcon works on
+terms in one dict and makes one polynomial at the end: the subset routes,
+the reference, through the validating MPoly(...), and tutte_delcon through
+the trusted mpoly._mpoly.  tutte_delcon works on
 packed subgraphs, a vertex count and a tuple of (bit, u, v) ints with the
 vertices relabelled in order of first appearance, pivots on the first edge,
 and memoises on that canonical key for the length of one top-level call
@@ -20,7 +22,7 @@ than DEFAULT_EDGE_BUDGET edges (check_edge_budget).
 from __future__ import annotations
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .mpoly import MPoly, Q, var_sort_key
+from .mpoly import MPoly, Q, _mpoly, var_sort_key
 from .multigraph import MultiGraph
 
 DEFAULT_EDGE_BUDGET = 20
@@ -153,7 +155,10 @@ def tutte_delcon(g: MultiGraph) -> MPoly:
         (key >> width,) + low[key & low_mask] + high[key >> half & high_mask]: c
         for key, c in top.items()
     }
-    return MPoly(("q",) + _edge_names(edges), terms)
+    names = ("q",) + _edge_names(edges)
+    # every edge lies in some subset and, given a vertex, every subset has
+    # k >= 1, so every variable occurs; with no vertex q does not occur
+    return _mpoly(names, terms) if g.vertex_count else MPoly(names, terms)
 
 
 def normalized_tutte(g: MultiGraph) -> MPoly:

@@ -207,3 +207,84 @@ def _substitute_by_terms(p, name, value):
 @settings(max_examples=100, deadline=None)
 def test_substitute_matches_termwise_definition(p, value, name):
     assert p.substitute(name, value) == _substitute_by_terms(p, name, value)
+
+
+# -- the trusted constructor -----------------------------------------------
+
+VARIABLES = ("q", "t1", "t2", "t10")
+
+
+@st.composite
+def term_dicts(draw):
+    """Terms over VARIABLES that use only a random subset of them, so two
+    draws can have disjoint or shared variables."""
+    used = draw(st.sets(st.sampled_from(range(len(VARIABLES)))))
+    exps = st.tuples(
+        *(exponents if i in used else st.just(0) for i in range(len(VARIABLES)))
+    )
+    return draw(st.dictionaries(exps, coeffs, max_size=4))
+
+
+@st.composite
+def poly_pairs(draw):
+    a, b = draw(term_dicts()), draw(term_dicts())
+    # b may cancel some of a's terms, which can drop a variable from a + b
+    for e in draw(st.lists(st.sampled_from(sorted(a)), unique=True)) if a else ():
+        b[e] = -a[e]
+    return MPoly(VARIABLES, a), MPoly(VARIABLES, b)
+
+
+def assert_valid(r):
+    # validating the result again changes nothing
+    again = MPoly(r.variables, r.terms)
+    assert r.variables == again.variables
+    assert r.terms == again.terms
+    assert all(type(c) is int for c in r.terms.values())
+    assert all(type(e) is tuple for e in r.terms)
+
+
+@given(poly_pairs(), st.integers(min_value=-3, max_value=3))
+@settings(max_examples=300, deadline=None)
+def test_ring_results_are_already_valid(pair, k):
+    a, b = pair
+    results = [a + b, b + a, a - b, b - a, -a, a * b, k * a, a * k, 0 * a, a + k]
+    for r in results:
+        assert_valid(r)
+    assert (a - b) + b == a
+    assert a * b - b * a == 0
+
+
+def _render_by_appending(p):
+    # the printer that appended each term to one string, kept as the
+    # reference for the bytes of render()
+    if not p.terms:
+        return "0"
+    chunks = []
+    for exps, c in p.sorted_terms():
+        factors = []
+        for name, e in zip(p.variables, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        chunks.append(("-" if c < 0 else "+", body))
+    sign, body = chunks[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in chunks[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+@given(term_dicts(), st.integers(min_value=-(10**30), max_value=10**30))
+@settings(max_examples=300, deadline=None)
+def test_render_matches_the_appending_printer(terms, big):
+    p = MPoly(VARIABLES, terms)
+    for r in (p, -p, p + big, p * big):
+        assert r.render() == _render_by_appending(r)

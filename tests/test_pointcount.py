@@ -328,8 +328,10 @@ def test_potts_count_converts_once(conversions, extra, dim):
 
 @pytest.mark.parametrize("graph", [polygon(3), banana(3)], ids=["triangle", "banana3"])
 @pytest.mark.parametrize("q0", [-1, 1157])  # 1157 is 2 mod 3, 5, 7 and 11
-def test_fixed_q_report_substitutes_q0_once(graph, q0):
-    # the integer q0 in every field counts as q0 % char in that field
+def test_fixed_q_report_counts_every_field_from_one_conversion(graph, q0):
+    # the report's one conversion of Z_G serves every field of its plan: each
+    # sample and the check equal count_fixed_q in that field, which slices at
+    # q0 % char in odd characteristic and at the generator x of F4 and F8
     z = tutte_delcon(graph)
     edges = graph.edge_count
     report = fixed_q_report(z, q0, edges)

@@ -268,3 +268,24 @@ def test_delcon_matches_subsets_beyond_the_random_graphs(g):
     # the hypothesis strategy
     assert g.edge_count >= 12
     assert tutte_delcon(g) == tutte_poly(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        MultiGraph(0, ()),
+        MultiGraph(1, (("1", 0, 0), ("2", 0, 0))),
+        MultiGraph(3, (("1", 1, 1), ("2", 2, 2), ("3", 1, 1))),
+        MultiGraph(4, (("1", 0, 1),)),
+        MultiGraph(2, ()),
+        MultiGraph(5, (("1", 0, 1), ("2", 1, 0), ("3", 2, 3), ("4", 3, 4), ("5", 4, 2))),
+    ],
+    ids=["no-vertex", "loops", "loops-and-isolated", "isolated", "no-edge", "two-components"],
+)
+def test_delcon_edge_cases_match_subsets(g):
+    # delcon builds its result without validation; it must be the very
+    # polynomial the validating subset route builds
+    z = tutte_delcon(g)
+    assert z == tutte_poly(g)  # equal variables and equal terms
+    again = MPoly(z.variables, z.terms)
+    assert (again.variables, again.terms) == (z.variables, z.terms)
