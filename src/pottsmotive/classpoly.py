@@ -196,7 +196,8 @@ class ClassPoly:
     def render(self, var: str = "T") -> str:
         if not self.coeffs:
             return "0"
-        chunks = []
+        # one string per term, joined once, as in MPoly.render
+        parts = []
         for power in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[power]
             if not c:
@@ -207,12 +208,11 @@ class ClassPoly:
             else:
                 head = var if power == 1 else f"{var}^{power}"
                 body = head if mag == 1 else f"{mag}*{head}"
-            chunks.append(("-" if c < 0 else "+", body))
-        sign, body = chunks[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+            if not parts:  # the leading sign has no space, and no "+"
+                parts.append("-" + body if c < 0 else body)
+            else:
+                parts.append(("- " if c < 0 else "+ ") + body)
+        return " ".join(parts)
 
     def __str__(self) -> str:
         return self.render()

@@ -11,6 +11,10 @@ These are ring homomorphisms out of Z[T]:
   E-polynomial                   T -> xy - 1
 The substitutions evaluate the CLASS; they describe the variety precisely
 when its class is a polynomial in T, which the counting oracle certifies.
+
+The last two share one Taylor shift: the coefficients a_i of c(s - 1),
+computed once per call by Horner's rule over ClassPoly, are read as the
+polynomial sum a_i u^i or sum a_i (xy)^i and built as one MPoly.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .classpoly import ClassPoly
+from .classpoly import T, ZERO, ClassPoly
 from .grothendieck import chain_banana_class_fixed_q, chain_polygon_class_fixed_q
 from .mpoly import MPoly
 from .multigraph import FamilySpec
@@ -34,30 +38,38 @@ def chi_c_real(c: ClassPoly) -> int:
     return c.eval_int(-2)
 
 
-def _substitute(c: ClassPoly, image: MPoly) -> MPoly:
-    acc = MPoly.zero()
+_T_MINUS_1 = T - 1
+
+
+def _shifted(c: ClassPoly) -> tuple:
+    """Coefficients of c(s - 1), ascending in s."""
+    acc = ZERO
     for coeff in reversed(c.coeffs):
-        acc = acc * image + coeff
-    return acc
+        acc = acc * _T_MINUS_1 + coeff
+    return acc.coeffs
 
 
 def virtual_poincare(c: ClassPoly) -> MPoly:
     """Virtual Poincare polynomial: substitute T -> u - 1 (the affine line
     has virtual Poincare polynomial u).  Its value at u = -1 is chi_c."""
-    return _substitute(c, MPoly.var("u") - 1)
+    return MPoly(("u",), {(i,): a for i, a in enumerate(_shifted(c))})
 
 
 def e_polynomial(c: ClassPoly) -> MPoly:
     """E-polynomial (virtual Hodge polynomial): substitute T -> xy - 1.
     Its value at x = y = 1 is the complex Euler characteristic."""
-    return _substitute(c, MPoly.var("x") * MPoly.var("y") - 1)
+    return MPoly(("x", "y"), {(i, i): a for i, a in enumerate(_shifted(c))})
 
 
 def chi_c_real_locus(c: ClassPoly, edge_count: int) -> int:
     """chi_c of the real zero locus itself from the complement class:
     (-1)^edges - chi_c(complement), since the real affine line has
     chi_c = -1."""
-    return (-1) ** edge_count - chi_c_real(c)
+    return _locus_from_complement(chi_c_real(c), edge_count)
+
+
+def _locus_from_complement(at_minus_2: int, edge_count: int) -> int:
+    return (-1) ** edge_count - at_minus_2
 
 
 def chi_c_chain_polygons(spec: FamilySpec) -> int:
@@ -92,7 +104,7 @@ def chain_banana_chi_table_row(spec: FamilySpec) -> dict:
 
 def _chi_row(spec: FamilySpec, cls: ClassPoly, closed: int) -> dict:
     at_minus_2 = chi_c_real(cls)
-    locus = chi_c_real_locus(cls, spec.edge_count)
+    locus = _locus_from_complement(at_minus_2, spec.edge_count)
     return {
         "m": spec.m,
         "k": spec.k,

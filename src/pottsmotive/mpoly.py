@@ -238,10 +238,16 @@ class MPoly:
         """Exact substitution of `value` for the variable `name`."""
         if name not in self.variables:
             return self
-        if isinstance(value, int):
-            value = MPoly.const(value)
         idx = self.variables.index(name)
         rest = self.variables[:idx] + self.variables[idx + 1 :]
+        if isinstance(value, int):
+            # value**e is an int: each term lands on its own exponents
+            # without `name`, and no variable joins
+            out: dict = {}
+            for exps, c in self.terms.items():
+                key = exps[:idx] + exps[idx + 1 :]
+                out[key] = out.get(key, 0) + c * value ** exps[idx]
+            return MPoly(rest, out)
         names = tuple(sorted(set(rest) | set(value.variables), key=var_sort_key))
         pos = {n: i for i, n in enumerate(names)}
         rest_idx = [pos[n] for n in rest]

@@ -132,3 +132,44 @@ def test_unpack_with_a_carry_raises(value):
     # two one-byte digits hold -128..127 each; these values need a third
     with pytest.raises(AssertionError):
         _unpack(value, 2, 1)
+
+
+def _render_by_appending(p, var="T"):
+    # the printer that appended each term to one string, kept as the
+    # reference for the bytes of render()
+    if not p.coeffs:
+        return "0"
+    chunks = []
+    for power in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[power]
+        if not c:
+            continue
+        mag = abs(c)
+        if power == 0:
+            body = str(mag)
+        else:
+            head = var if power == 1 else f"{var}^{power}"
+            body = head if mag == 1 else f"{mag}*{head}"
+        chunks.append(("-" if c < 0 else "+", body))
+    sign, body = chunks[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in chunks[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+# sparse classes, with gaps of zero coefficients and units of both signs
+RENDERED = st.lists(st.one_of(st.just(0), st.sampled_from([1, -1]), COEFFS), max_size=12).map(
+    ClassPoly
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RENDERED, st.sampled_from(["T", "s", "q0"]))
+@example(ZERO, "T")
+@example(ONE, "T")
+@example(-T, "T")
+@example(ClassPoly((-1, 0, 0, 1)), "T")
+def test_render_matches_the_appending_printer(p, var):
+    assert p.render(var) == _render_by_appending(p, var)
+    assert str(p) == _render_by_appending(p)

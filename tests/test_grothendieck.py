@@ -182,6 +182,47 @@ def test_fixed_q_recursion_also_holds():
         assert gr.split_recursion(seeds, m) == gr.polygon_class_fixed_q(m)
 
 
+def _fresh_polygon_block(m):
+    head = ClassPoly.monomial(m + 1)
+    power = (T - 1) ** m
+    mid = T * (ClassPoly.monomial(m) - power)
+    tail = (power - (-1) ** m).divexact(T)
+    return head + mid + tail
+
+
+def _fresh_banana_block(m):
+    return (T + 1) ** (m + 1) - ClassPoly.monomial(m)
+
+
+def test_memoised_blocks_match_a_fresh_computation():
+    ms = range(61)
+    assert len(ms) > 2 * gr._BLOCKS  # the memo evicts on the way
+    # ascending, then descending (recently kept blocks), then ascending again
+    # (blocks evicted and rebuilt)
+    for order in (ms, reversed(ms), ms):
+        for m in order:
+            assert gr.polygon_class_fixed_q(m) == _fresh_polygon_block(m)
+            assert gr.banana_class_fixed_q(m) == _fresh_banana_block(m)
+            for spec in (FamilySpec(m, 1, 2), FamilySpec(m, 0, 1)):
+                shift = spec.k * (spec.n - 1)
+                assert gr.chain_polygon_class_fixed_q(spec) == (
+                    _fresh_polygon_block(m) ** spec.n
+                ).scale_T_power(shift)
+                assert gr.chain_banana_class_fixed_q(spec) == (
+                    _fresh_banana_block(m) ** spec.n
+                ).scale_T_power(shift)
+    for block in (gr._polygon_block, gr._banana_block):
+        assert block.cache_info().currsize == gr._BLOCKS
+    for fn in (gr.polygon_class_fixed_q, gr.banana_class_fixed_q):
+        with pytest.raises(InvalidArgumentError):
+            fn(-1)
+        fn(2)
+        # a float index fails in the class arithmetic, as it does unmemoised,
+        # rather than being served the block kept for 2
+        with pytest.raises((TypeError, AttributeError)):
+            fn(2.0)
+
+
 def test_chain_classes():
     assert gr.chain_polygon_class_fixed_q(FamilySpec(2, 0, 1)) == T**3 + 2 * T**2 - 2
     assert gr.chain_polygon_class_fixed_q(FamilySpec(1, 1, 2)) == (

@@ -79,6 +79,20 @@ def test_chain_rows():
     assert row["agree"] and row["chi_c_locus"] == 1 and row["edges"] == 3
     row_b = mv.chain_banana_chi_table_row(FamilySpec(2, 0, 1))
     assert row_b["agree"] and row_b["closed_form"] == 4
+    # both evaluated columns of every row agree with the public evaluations
+    # of its class
+    for m in range(4):
+        for k in range(3):
+            for n in range(1, 4):
+                spec = FamilySpec(m, k, n)
+                for row_fn, class_fn in (
+                    (mv.chain_polygon_chi_table_row, chain_polygon_class_fixed_q),
+                    (mv.chain_banana_chi_table_row, chain_banana_class_fixed_q),
+                ):
+                    row, cls = row_fn(spec), class_fn(spec)
+                    assert row["class_at_T=-2"] == mv.chi_c_real(cls)
+                    assert row["chi_c_locus"] == mv.chi_c_real_locus(cls, spec.edge_count)
+                    assert row["agree"]
 
 
 def test_decision_bound():
@@ -115,3 +129,30 @@ def test_poincare_specializes_to_chi_c(c):
     assert mv.e_polynomial(c).substitute("x", 1).substitute("y", 1) == MPoly.const(
         mv.chi_complex(c)
     )
+
+
+def _substitute_by_horner(c, image):
+    # the MPoly Horner loop both evaluations ran before the Taylor shift,
+    # kept as their reference
+    acc = MPoly.zero()
+    for coeff in reversed(c.coeffs):
+        acc = acc * image + coeff
+    return acc
+
+
+# the zero class, constants, negative coefficients and degrees up to 40
+shifted_classes = st.one_of(
+    st.just(ClassPoly.zero()),
+    st.integers(min_value=-50, max_value=50).map(ClassPoly.const),
+    st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=41).map(ClassPoly),
+)
+
+
+@given(shifted_classes)
+@settings(max_examples=150, deadline=None)
+def test_shifted_evaluations_match_the_horner_substitution(c):
+    u, x, y = MPoly.var("u"), MPoly.var("x"), MPoly.var("y")
+    assert mv.virtual_poincare(c) == _substitute_by_horner(c, u - 1)
+    assert mv.e_polynomial(c) == _substitute_by_horner(c, x * y - 1)
+    assert mv.virtual_poincare(c).render() == _substitute_by_horner(c, u - 1).render()
+

@@ -209,6 +209,15 @@ def test_substitute_matches_termwise_definition(p, value, name):
     assert p.substitute(name, value) == _substitute_by_terms(p, name, value)
 
 
+@given(polys(), names, st.integers(min_value=-4, max_value=4))
+@settings(max_examples=200, deadline=None)
+def test_substitute_int_matches_the_constant_polynomial(p, name, k):
+    # the general path, substituting the polynomial MPoly.const(k), is the
+    # reference for the integer path
+    assert p.substitute(name, k) == p.substitute(name, MPoly.const(k))
+    assert_valid(p.substitute(name, k))
+
+
 # -- the trusted constructor -----------------------------------------------
 
 VARIABLES = ("q", "t1", "t2", "t10")
