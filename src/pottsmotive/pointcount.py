@@ -36,7 +36,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from . import _countpure
+from . import _countpure, _runmemo
 from .classpoly import ClassPoly
 from .errors import (
     InvalidArgumentError,
@@ -115,7 +115,14 @@ def _locus_counter(
     coordinate: the function also takes the element of F_q that q is fixed
     to, and the kernel fixes it there.  The polynomials are converted to the
     kernel's dense form once, here, so that every field of a report counts
-    the same system; a field is checked when it is counted."""
+    the same system; a field is checked when it is counted.
+
+    Inside a `potts verify` run, a kernel count is kept, keyed by the dense
+    system, the field size and the fixed element, and any counter of the run
+    that meets the same key again reuses it, until the run ends.  It is
+    looked up only once the field and the budget have been checked, so a
+    refusal is never kept.  Outside a run every count reaches the kernel, so
+    a kernel swapped in there sees them all; see _runmemo."""
     constraints = [p for p in polys if not p.is_zero]
     names, dense = _dense_system(constraints) if constraints else ([], [])
     nvars = len(names)
@@ -125,21 +132,36 @@ def _locus_counter(
         raise InvalidArgumentError(
             f"{free} variables do not fit in ambient dimension {ambient_dim}"
         )
+    system = None  # dense as a memo key, made on the first count in a run
 
     def zeros(q: int, element: int | None = None) -> int:
+        nonlocal system
         _check_fields((q,))
         _check_budget(q, ambient_dim)
         if not dense:
             return q**ambient_dim
-        # through the module attribute, so a wrapper rebound there sees every
-        # call; first is passed by keyword only, and only to fix q
-        if sliced:
-            n = _countpure.count_common_zeros(dense, nvars, q, first=element)
+        first = element if sliced else None
+        memo = _runmemo.current
+        if memo is None:
+            n = _kernel_count(dense, nvars, q, first)
         else:
-            n = _countpure.count_common_zeros(dense, nvars, q)
+            if system is None:
+                system = tuple((shape, tuple(coeffs)) for shape, coeffs in dense)
+            key = ("count", system, q, first)
+            n = memo.get(key)
+            if n is None:
+                n = memo[key] = _kernel_count(dense, nvars, q, first)
         return n * q ** (ambient_dim - free)
 
     return zeros
+
+
+def _kernel_count(dense, nvars: int, q: int, first: int | None) -> int:
+    # through the module attribute, so a wrapper rebound there sees every
+    # call; first is passed by keyword only, and only to fix q
+    if first is None:
+        return _countpure.count_common_zeros(dense, nvars, q)
+    return _countpure.count_common_zeros(dense, nvars, q, first=first)
 
 
 def count_zero_locus(

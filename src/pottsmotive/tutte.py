@@ -14,13 +14,16 @@ the reference, through the validating MPoly(...), and tutte_delcon through
 the trusted mpoly._mpoly.  tutte_delcon works on
 packed subgraphs, a vertex count and a tuple of (bit, u, v) ints with the
 vertices relabelled in order of first appearance, pivots on the first edge,
-and memoises on that canonical key for the length of one top-level call
-only, so nothing is cached between calls.  Both refuse a graph with more
-than DEFAULT_EDGE_BUDGET edges (check_edge_budget).
+and memoises its subgraphs on that canonical key for the length of one
+top-level call.  Between calls it keeps nothing, except inside a `potts
+verify` run, which shares each graph's Z_G among its checks until the run
+ends (see _runmemo).  Both refuse a graph with more than
+DEFAULT_EDGE_BUDGET edges (check_edge_budget).
 """
 
 from __future__ import annotations
 
+from . import _runmemo
 from .errors import InvalidArgumentError, ResourceLimitError
 from .mpoly import MPoly, Q, _mpoly, var_sort_key
 from .multigraph import MultiGraph
@@ -111,6 +114,24 @@ def _canonical(edges, gone: int = -1, keep: int = -1) -> tuple:
 def tutte_delcon(g: MultiGraph) -> MPoly:
     """Z_G(q, t) by deletion-contraction on the first edge.  Must agree with
     tutte_poly on every graph.
+
+    Each call builds Z_G afresh, except inside a `potts verify` run: there
+    the first call for a graph value keeps its Z_G, and later calls for an
+    equal graph return that same (immutable) polynomial until the run ends.
+    Keeping it for longer would hold every graph's terms for the life of the
+    process; see _runmemo."""
+    memo = _runmemo.current
+    if memo is None:
+        return _delcon(g)
+    key = ("z", g)
+    z = memo.get(key)
+    if z is None:
+        z = memo[key] = _delcon(g)
+    return z
+
+
+def _delcon(g: MultiGraph) -> MPoly:
+    """Z_G by deletion-contraction, built afresh.
 
     A subgraph is (n, edges): n vertices, and its edges as (bit, u, v) ints
     in g.edges order, bit the edge's mask bit (its place in variable order)

@@ -6,9 +6,17 @@ class is involved.  A suite is a generator of named checks `(name, thunk)`
 in report order; a thunk takes no arguments and returns `(ok, detail)`.
 `checks` chains the suites, `run_suite` runs each check once through
 `_check` and collects one pass/fail result per name, and the tests run the
-same thunks under the same names.  The registry is lazy: work shared by
-several checks (such as a graph's Z_G) is done between them, outside the
-thunks.  All checks are deterministic.
+same thunks under the same names.  The registry is lazy: a value that
+several checks of one graph take as an argument (such as its Z_G) is made
+between them, outside the thunks.  All checks are deterministic.
+
+Many checks rebuild the same Z_G or repeat the same count: a graph's Z_G
+recurs in every edge's deletion-contraction check, and a subgraph's in the
+checks of its parent.  For the length of one `run_suite` call, the memo of
+_runmemo shares both: each graph's Z_G and each kernel count (dense system,
+field, fixed element) are made once per run.  It is not process-wide: it
+ends with the run, even when the run raises, so the tests that run the
+thunks one by one, or that swap in the reference counter, count afresh.
 """
 
 from __future__ import annotations
@@ -17,9 +25,9 @@ from itertools import chain
 from typing import Callable, Iterator
 
 from . import grothendieck as gr
-from . import motivic, pointcount, tangentcone, tutte
+from . import _runmemo, motivic, pointcount, tangentcone, tutte
 from .classpoly import T
-from .errors import InvalidArgumentError, PottsError
+from .errors import InvalidArgumentError
 from .mpoly import MPoly, Q, edge_var
 from .multigraph import (
     EdgeKind,
@@ -66,9 +74,11 @@ Check = tuple[str, Callable[[], tuple[bool, str]]]
 
 
 def _check(results: list, name: str, fn) -> None:
+    # any exception, a package error or a fault such as the kernel's
+    # ValueError, fails this check alone and the report still comes out
     try:
         ok, detail = fn()
-    except PottsError as exc:
+    except Exception as exc:
         ok, detail = False, f"{type(exc).__name__}: {exc}"
     results.append({"name": name, "ok": bool(ok), "detail": detail})
 
@@ -576,12 +586,17 @@ def checks(suite: str = "all", max_dim: int = 5) -> Iterator[Check]:
     if suite == "all":
         return chain.from_iterable(s(max_dim) for s in SUITES.values())
     if suite not in SUITES:
-        raise KeyError(suite)
+        raise InvalidArgumentError(
+            f"unknown suite {suite!r}; expected one of {sorted(SUITES)} or 'all'"
+        )
     return SUITES[suite](max_dim)
 
 
 def run_suite(name: str, max_dim: int = 5) -> list[dict]:
+    """One {name, ok, detail} result per check of checks(name, max_dim), in
+    report order, with Z_G and kernel counts shared for this run only."""
     results: list[dict] = []
-    for check_name, fn in checks(name, max_dim):
-        _check(results, check_name, fn)
+    with _runmemo.run():
+        for check_name, fn in checks(name, max_dim):
+            _check(results, check_name, fn)
     return results

@@ -409,6 +409,43 @@ def test_verify_failure_exit_1(runner, monkeypatch):
     assert doc["failed"] == 1
 
 
+def test_verify_check_fault_is_reported_exit_1(runner, monkeypatch):
+    from pottsmotive import pointcount, tutte, verify as verify_mod
+
+    def faulty_suite(max_dim=5):
+        # the kernel raises ValueError for an element outside F_5
+        z = tutte.tutte_delcon(verify_mod.TRIANGLE)
+        yield "forced/kernel-fault", lambda: (
+            pointcount.fixed_q_counter(z, 3)(5, 7) > 0,
+            "counted",
+        )
+        yield "forced/after-the-fault", lambda: (True, "still run")
+
+    monkeypatch.setitem(verify_mod.SUITES, "classes", faulty_suite)
+    result = runner.invoke(cli, ["verify", "--suite", "classes"])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    doc = json.loads(result.output)
+    assert (doc["passed"], doc["failed"]) == (1, 1)
+    fault = doc["checks"][0]
+    assert fault["name"] == "forced/kernel-fault"
+    assert fault["detail"].startswith("ValueError: no first variable to fix at 7")
+
+
+def test_verify_unknown_suite_exit_2(runner, monkeypatch):
+    from pottsmotive import verify as verify_mod
+
+    result = runner.invoke(cli, ["verify", "--suite", "unknown"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    # a suite the option still offers but the registry lacks exits 2 too
+    monkeypatch.delitem(verify_mod.SUITES, "chi")
+    result = runner.invoke(cli, ["verify", "--suite", "chi"])
+    assert result.exit_code == 2
+    assert "unknown suite 'chi'" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 @pytest.mark.parametrize("grids", [("2..1", "0"), ("2..1", "x"), ("0", "x")])
 def test_chi_empty_or_malformed_grid_exit_2(runner, grids):
     m, k = grids
