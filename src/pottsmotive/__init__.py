@@ -61,14 +61,11 @@ from .multigraph import (
 from .pointcount import (
     CountReport,
     complement_class,
+    complement_counter,
     complement_report,
-    count_complement,
-    count_fixed_q,
     count_report,
-    count_zero_locus,
     fixed_q_class,
     fixed_q_report,
-    interpolate_class,
     kernel_backend,
     locus_complement_class,
 )

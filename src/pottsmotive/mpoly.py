@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import ExactDivisionError, InvalidArgumentError
 
@@ -228,9 +228,6 @@ class MPoly:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def iter_terms(self) -> Iterator[tuple[tuple, int]]:
-        return iter(self.terms.items())
 
     # -- operations --------------------------------------------------------
 

@@ -294,7 +294,8 @@ def parse_edge_list(text: str) -> MultiGraph:
     if not lines or not lines[0].startswith("V"):
         raise InvalidParameterError('graph file must start with a "V <count>" line')
     head = lines[0].split()
-    if len(head) != 2 or not head[1].isdigit():
+    # isdecimal, not isdigit: int() refuses digits such as "²"
+    if len(head) != 2 or not head[1].isdecimal():
         raise InvalidParameterError(f"malformed vertex line {lines[0]!r}")
     vertex_count = int(head[1])
     edges = []

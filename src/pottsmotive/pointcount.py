@@ -18,13 +18,14 @@ hypersurfaces need not be polynomial-count (Belkale and Brosnan,
 arXiv:math/0012198), so a reserved check field and the exactness of every
 division guard the fit.
 
-A report converts its polynomials to the kernel's dense form once and
-counts every sample and check field from that one system.  A fixed-q report
-counts the system of Z_G itself, q first, and the kernel fixes q at a field
-element: q0 % char in odd characteristic, and the generator x of F_4 and
-F_8, where the integer q0 would be 0 or 1.  Its plan is the ladder minus
-F_2, which has no such element; by the independence of the fixed-q class
-from the fixed q, every field's count is one class at q - 1.
+complement_counter is the one counter: it converts its polynomials to the
+kernel's dense form once, and a report counts every sample and check field
+through one counter.  A fixed-q report counts the system of Z_G itself,
+q first, and the kernel fixes q at a field element: q0 % char in odd
+characteristic, and the generator x of F_4 and F_8, where the integer q0
+would be 0 or 1.  Its plan is the ladder minus F_2, which has no such
+element; by the independence of the fixed-q class from the fixed q, every
+field's count is one class at q - 1.
 
 POTTS_BUDGET caps the nominal enumeration size q^d per count and the sum of
 q^d over the sample and check fields of a report (default 10^8).
@@ -107,15 +108,16 @@ def _dense_system(polys: Sequence[MPoly]):
     return names, dense
 
 
-def _locus_counter(
+def complement_counter(
     polys: Sequence[MPoly], ambient_dim: int, *, fixed_q: bool = False
 ) -> Callable[..., int]:
-    """The number of points of F_q^ambient_dim where every polynomial
-    vanishes, as a function of the field size q.  With fixed_q, q is no
-    coordinate: the function also takes the element of F_q that q is fixed
-    to, and the kernel fixes it there.  The polynomials are converted to the
-    kernel's dense form once, here, so that every field of a report counts
-    the same system; a field is checked when it is counted.
+    """The number of points of F_q^ambient_dim where some polynomial is
+    nonzero, the complement of their common zero locus, as a function of the
+    field size q.  With fixed_q, q is no coordinate: the function also takes
+    the element of F_q that q is fixed to, and the kernel fixes it there.
+    The polynomials are converted to the kernel's dense form once, here, so
+    that every field of a report counts the same system; a field is checked
+    when it is counted.
 
     Inside a `potts verify` run, a kernel count is kept, keyed by the dense
     system, the field size and the fixed element, and any counter of the run
@@ -134,12 +136,12 @@ def _locus_counter(
         )
     system = None  # dense as a memo key, made on the first count in a run
 
-    def zeros(q: int, element: int | None = None) -> int:
+    def complement(q: int, element: int | None = None) -> int:
         nonlocal system
         _check_fields((q,))
         _check_budget(q, ambient_dim)
         if not dense:
-            return q**ambient_dim
+            return 0
         first = element if sliced else None
         memo = _runmemo.current
         if memo is None:
@@ -151,9 +153,9 @@ def _locus_counter(
             n = memo.get(key)
             if n is None:
                 n = memo[key] = _kernel_count(dense, nvars, q, first)
-        return n * q ** (ambient_dim - free)
+        return q**ambient_dim - n * q ** (ambient_dim - free)
 
-    return zeros
+    return complement
 
 
 def _kernel_count(dense, nvars: int, q: int, first: int | None) -> int:
@@ -162,29 +164,6 @@ def _kernel_count(dense, nvars: int, q: int, first: int | None) -> int:
     if first is None:
         return _countpure.count_common_zeros(dense, nvars, q)
     return _countpure.count_common_zeros(dense, nvars, q, first=first)
-
-
-def count_zero_locus(
-    polys: Sequence[MPoly],
-    ambient_dim: int,
-    q: int,
-) -> int:
-    """Points of F_q^ambient_dim where every polynomial vanishes."""
-    return _locus_counter(polys, ambient_dim)(q)
-
-
-def count_complement(poly: MPoly, ambient_dim: int, q: int) -> int:
-    """Points of F_q^ambient_dim where the polynomial is nonzero."""
-    return q**ambient_dim - count_zero_locus([poly], ambient_dim, q)
-
-
-def fixed_q_counter(poly: MPoly, edge_count: int) -> Callable[[int, int], int]:
-    """The points of the fixed-q slice (t-space only) where poly(a, t) != 0,
-    as a function of the field size q and the element a of F_q; poly is
-    converted once, with q as its first variable, for every field and
-    element counted."""
-    zeros = _locus_counter([poly], edge_count, fixed_q=True)
-    return lambda q, a: q**edge_count - zeros(q, a)
 
 
 def _slice_element(q0: int, q: int) -> int:
@@ -196,13 +175,6 @@ def _slice_element(q0: int, q: int) -> int:
     if char == 2 and q > 2:
         return 2
     return q0 % char
-
-
-def count_fixed_q(poly: MPoly, q0: int, ambient_dim: int, q: int) -> int:
-    """Points of the fixed-q slice (t-space only) over F_q where
-    poly(q0, t) != 0, q0 taken to the element _slice_element(q0, q)."""
-    _check_fields((q,))
-    return fixed_q_counter(poly, ambient_dim)(q, _slice_element(q0, q))
 
 
 # -- interpolation -------------------------------------------------------------
@@ -382,16 +354,6 @@ def count_report(
     return CountReport(ambient_dim, samples, cls, (check_prime, predicted, observed))
 
 
-def interpolate_class(
-    counter: Callable[[int], int],
-    ambient_dim: int,
-    primes: Sequence[int] | None = None,
-    check_prime: int | None = None,
-) -> ClassPoly:
-    """The unique class polynomial through the counts; see count_report."""
-    return count_report(counter, ambient_dim, primes, check_prime).interpolated
-
-
 # -- class-level helpers --------------------------------------------------------
 
 
@@ -404,9 +366,8 @@ def _locus_report(
     """count_report of the complement of the common zero locus, planned
     before the polynomials are converted and counted from one conversion."""
     primes, check_prime = sample_plan(ambient_dim, primes, check_prime)
-    zeros = _locus_counter(polys, ambient_dim)
     return count_report(
-        lambda q: q**ambient_dim - zeros(q), ambient_dim, primes, check_prime
+        complement_counter(polys, ambient_dim), ambient_dim, primes, check_prime
     )
 
 
@@ -451,7 +412,7 @@ def fixed_q_report(
     the fixed q (verify checks it); a fit that broke that would fail its
     check field."""
     primes, check_prime = sample_plan(edge_count, primes, check_prime, q0=q0)
-    complement = fixed_q_counter(poly, edge_count)
+    complement = complement_counter([poly], edge_count, fixed_q=True)
     return count_report(
         lambda q: complement(q, _slice_element(q0, q)), edge_count, primes, check_prime
     )

@@ -13,10 +13,11 @@ between them, outside the thunks.  All checks are deterministic.
 Many checks rebuild the same Z_G or repeat the same count: a graph's Z_G
 recurs in every edge's deletion-contraction check, and a subgraph's in the
 checks of its parent.  For the length of one `run_suite` call, the memo of
-_runmemo shares both: each graph's Z_G and each kernel count (dense system,
-field, fixed element) are made once per run.  It is not process-wide: it
-ends with the run, even when the run raises, so the tests that run the
-thunks one by one, or that swap in the reference counter, count afresh.
+_runmemo shares both: each graph's Z_G and each kernel count of a
+pointcount.complement_counter (dense system, field, fixed element) are made
+once per run.  It is not process-wide: it ends with the run, even when the
+run raises, so the tests that run the thunks one by one, or that swap in
+the reference counter, count afresh.
 """
 
 from __future__ import annotations
@@ -188,18 +189,12 @@ def suite_oracle(max_dim: int = 5) -> Iterator[Check]:
         if dim > max_dim:
             continue
         z = tutte.tutte_delcon(g)
+        complement = pointcount.complement_counter([z], dim)
         yield (
             f"oracle/complement-plus-zeros/{name}",
-            lambda g=g, z=z, d=dim: _eq(
-                pointcount.count_complement(z, d, 5)
-                + pointcount.count_zero_locus([z], d, 5),
-                5**d,
-            ),
+            lambda c=complement, d=dim: _eq(c(5) + (5**d - c(5)), 5**d),
         )
-        yield (
-            f"oracle/f2-count-is-1/{name}",
-            lambda z=z, d=dim: _eq(pointcount.count_complement(z, d, 2), 1),
-        )
+        yield f"oracle/f2-count-is-1/{name}", lambda c=complement: _eq(c(2), 1)
         yield (
             f"oracle/class-at-1/{name}",
             lambda g=g: _eq(gr.graph_class(g).eval_int(1), 1),
@@ -237,7 +232,7 @@ def _roundtrip(z: MPoly, dim: int):
 def _fixed_q_independent(g: MultiGraph, z: MPoly):
     # every element but 0 and 1, F_4 and F_8 included: a fixed-q report
     # counts those fields at x, so its fit rests on this independence
-    complement = pointcount.fixed_q_counter(z, g.edge_count)
+    complement = pointcount.complement_counter([z], g.edge_count, fixed_q=True)
     for q in (3, 4, 5, 7, 8):
         counts = {complement(q, a) for a in range(2, q)}
         if len(counts) > 1:

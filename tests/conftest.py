@@ -2,7 +2,7 @@ from fnmatch import fnmatch
 
 import pytest
 
-from pottsmotive import verify
+from pottsmotive import _countpure, pointcount, verify
 from pottsmotive.multigraph import MultiGraph, banana, disjoint_union, polygon
 
 
@@ -57,3 +57,23 @@ def run_checks():
         assert not unmatched, f"no check matches {sorted(unmatched)}"
 
     return run
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Counts of the calls to the dense conversion and to the kernel,
+    through counting wrappers on both module attributes."""
+    calls = {"dense": 0, "kernel": 0}
+    dense, kernel = pointcount._dense_system, _countpure.count_common_zeros
+
+    def counted_dense(*args):
+        calls["dense"] += 1
+        return dense(*args)
+
+    def counted_kernel(*args, **kwargs):
+        calls["kernel"] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(pointcount, "_dense_system", counted_dense)
+    monkeypatch.setattr(_countpure, "count_common_zeros", counted_kernel)
+    return calls

@@ -48,12 +48,8 @@ def _criterion(number, description, body):
 
 
 def _z_class(g, primes=None, check_prime=None):
-    return pc.interpolate_class(
-        lambda p: pc.count_complement(tutte.tutte_delcon(g), g.edge_count + 1, p),
-        g.edge_count + 1,
-        primes,
-        check_prime,
-    )
+    complement = pc.complement_counter([tutte.tutte_delcon(g)], g.edge_count + 1)
+    return pc.count_report(complement, g.edge_count + 1, primes, check_prime).interpolated
 
 
 def test_criterion_01_seed_classes():
@@ -82,8 +78,9 @@ def test_criterion_03_fixed_q_independence():
     def body():
         z = tutte.tutte_delcon(TRIANGLE)
         fixed = gr.polygon_class_fixed_q(2)
+        complement = pc.complement_counter([z], 3, fixed_q=True)
         for p in (5, 7, 11):
-            counts = {pc.count_fixed_q(z, q0, 3, p) for q0 in range(2, p)}
+            counts = {complement(p, q0) for q0 in range(2, p)}
             assert counts == {fixed.eval_int(p - 1)}
 
     _criterion(3, "fixed-q counts of the triangle: q-independent, match T^3+2T^2-2", body)
@@ -167,7 +164,7 @@ def test_criterion_10_universal_torus_check():
     def body():
         for g in CORPUS:
             z = tutte.tutte_delcon(g)
-            assert pc.count_complement(z, g.edge_count + 1, 2) == 1
+            assert pc.complement_counter([z], g.edge_count + 1)(2) == 1
         for g in CORPUS:
             if g.edge_count + 1 <= 5:
                 assert _z_class(g).eval_int(1) == 1

@@ -224,3 +224,6 @@ def test_edge_list_parse_errors():
         parse_edge_list("V 2\n1 0\n")
     with pytest.raises(InvalidParameterError):
         parse_edge_list("V 2\n1 0 five\n")
+    # "²".isdigit() holds, yet int("²") fails
+    with pytest.raises(InvalidParameterError, match="malformed vertex line"):
+        parse_edge_list("V \u00b2\n1 0 0\n")

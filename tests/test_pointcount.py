@@ -15,16 +15,13 @@ from pottsmotive.mpoly import MPoly, Q, edge_var
 from pottsmotive.multigraph import banana, polygon
 from pottsmotive.pointcount import (
     complement_class,
+    complement_counter,
     complement_report,
-    count_complement,
-    count_fixed_q,
     count_report,
-    count_zero_locus,
     default_check_prime,
     default_primes,
     fixed_q_class,
     fixed_q_report,
-    interpolate_class,
     kernel_backend,
     locus_complement_class,
     sample_plan,
@@ -33,6 +30,18 @@ from pottsmotive.tutte import tutte_delcon
 
 T1, T2 = edge_var("1"), edge_var("2")
 LOOP_Z = Q + Q * T1
+
+
+def fixed_q_count(poly, q0, edge_count, q):
+    """The fixed-q complement count of poly at q0 over F_q, at the element
+    of F_q that a fixed-q report fixes q to."""
+    complement = complement_counter([poly], edge_count, fixed_q=True)
+    return complement(q, pointcount._slice_element(q0, q))
+
+
+def zero_count(polys, ambient_dim, q):
+    """The points of F_q^ambient_dim where every polynomial vanishes."""
+    return q**ambient_dim - complement_counter(polys, ambient_dim)(q)
 
 
 def test_backend_reports_something():
@@ -49,37 +58,37 @@ def test_kernel_looked_up_through_module_attribute(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(_countpure, "count_common_zeros", counting)
-    assert count_complement(LOOP_Z, 2, 3) == 4
+    assert complement_counter([LOOP_Z], 2)(3) == 4
     assert len(calls) == 1
 
 
 def test_count_complement_loop():
-    assert count_complement(LOOP_Z, 2, 2) == 1
-    assert count_complement(LOOP_Z, 2, 3) == 4
-    assert count_complement(LOOP_Z, 2, 5) == 16
+    assert complement_counter([LOOP_Z], 2)(2) == 1
+    assert complement_counter([LOOP_Z], 2)(3) == 4
+    assert complement_counter([LOOP_Z], 2)(5) == 16
 
 
 def test_count_complement_triangle():
     z = tutte_delcon(polygon(3))
-    assert count_complement(z, 4, 3) == 22
+    assert complement_counter([z], 4)(3) == 22
 
 
 def test_count_complement_zero_poly():
-    assert count_complement(MPoly.zero(), 3, 5) == 0
+    assert complement_counter([MPoly.zero()], 3)(5) == 0
 
 
 def test_count_complement_spare_dimensions():
     # q != 0 in ambient dim 3: q free over the two extra coordinates
-    assert count_complement(Q, 3, 5) == 4 * 25
+    assert complement_counter([Q], 3)(5) == 4 * 25
 
 
 def test_count_fixed_q_triangle():
     z = tutte_delcon(polygon(3))
-    assert count_fixed_q(z, 2, 3, 3) == 14
+    assert fixed_q_count(z, 2, 3, 3) == 14
     fixed = ClassPoly((-2, 0, 2, 1))  # T^3 + 2T^2 - 2
     for p in (3, 5, 7):
         for q0 in range(2, p):
-            assert count_fixed_q(z, q0, 3, p) == fixed.eval_int(p - 1)
+            assert fixed_q_count(z, q0, 3, p) == fixed.eval_int(p - 1)
 
 
 def test_count_fixed_q_at_prime_powers():
@@ -87,9 +96,9 @@ def test_count_fixed_q_at_prime_powers():
     z = tutte_delcon(polygon(3))
     fixed = ClassPoly((-2, 0, 2, 1))
     for q0 in (2, 5, 8):
-        assert count_fixed_q(z, q0, 3, 9) == fixed.eval_int(8)
-    assert count_fixed_q(z, 3, 3, 9) == 0
-    assert count_fixed_q(z, 4, 3, 9) == 8**3
+        assert fixed_q_count(z, q0, 3, 9) == fixed.eval_int(8)
+    assert fixed_q_count(z, 3, 3, 9) == 0
+    assert fixed_q_count(z, 4, 3, 9) == 8**3
 
 
 def test_count_fixed_q_special_values():
@@ -97,47 +106,47 @@ def test_count_fixed_q_special_values():
         z = tutte_delcon(g)
         e = g.edge_count
         for p in (3, 5):
-            assert count_fixed_q(z, 1, e, p) == (p - 1) ** e
-            assert count_fixed_q(z, 0, e, p) == 0
+            assert fixed_q_count(z, 1, e, p) == (p - 1) ** e
+            assert fixed_q_count(z, 0, e, p) == 0
 
 
 def test_count_zero_locus_examples():
-    assert count_zero_locus([Q], 2, 3) == 3
-    assert count_zero_locus([Q, T1], 2, 5) == 1
+    assert zero_count([Q], 2, 3) == 3
+    assert zero_count([Q, T1], 2, 5) == 1
     tri = polygon(3)
     z_del = tutte_delcon(tri.delete_edge("3"))
     z_con = tutte_delcon(tri.contract_edge("3"))
     # both polynomials are multiples of q, so the q = 0 plane (9 points) is
     # inside; the off-plane part contributes 7 more at p = 3
-    assert count_zero_locus([z_del, z_con], 3, 3) == 16
+    assert zero_count([z_del, z_con], 3, 3) == 16
 
 
 def test_complement_plus_zeros_is_everything():
     z = tutte_delcon(banana(2))
     for p in (2, 3, 5, 7):
-        assert count_complement(z, 3, p) + count_zero_locus([z], 3, p) == p**3
+        assert complement_counter([z], 3)(p) + zero_count([z], 3, p) == p**3
 
 
 def test_budget_env(monkeypatch):
     monkeypatch.setenv("POTTS_BUDGET", "8")
     with pytest.raises(ResourceLimitError):
-        count_complement(LOOP_Z, 2, 3)
+        complement_counter([LOOP_Z], 2)(3)
 
 
 @pytest.mark.parametrize("modulus", [6, 25, 1, 0, -3, 2**31 + 11])
 def test_non_prime_modulus_rejected(modulus):
     # 2^31 + 11 is prime but above MAX_PRIME, the cap on trial division
     with pytest.raises(InvalidArgumentError, match="not primes below 2"):
-        count_complement(LOOP_Z, 2, modulus)
+        complement_counter([LOOP_Z], 2)(modulus)
     with pytest.raises(InvalidArgumentError, match="not primes below 2"):
-        count_zero_locus([LOOP_Z, T1], 2, modulus)
+        complement_counter([LOOP_Z, T1], 2)(modulus)
     with pytest.raises(InvalidArgumentError, match="not primes below 2"):
-        count_complement(MPoly.zero(), 2, modulus)
+        complement_counter([MPoly.zero()], 2)(modulus)
 
 
 def test_too_many_variables_rejected():
     with pytest.raises(InvalidArgumentError):
-        count_zero_locus([Q * T1 * T2], 2, 3)
+        complement_counter([Q * T1 * T2], 2)
 
 
 def test_default_primes_and_check():
@@ -154,46 +163,46 @@ def test_default_primes_and_check():
 
 
 def test_interpolate_loop_class():
-    cls = interpolate_class(
-        lambda p: count_complement(LOOP_Z, 2, p), 2, primes=(2, 3, 5), check_prime=7
+    report = count_report(
+        complement_counter([LOOP_Z], 2), 2, primes=(2, 3, 5), check_prime=7
     )
-    assert cls == T**2
+    assert report.interpolated == T**2
 
 
 def test_interpolate_at_prime_powers():
-    cls = interpolate_class(
-        lambda q: count_complement(LOOP_Z, 2, q), 2, primes=(4, 9), check_prime=8
+    report = count_report(
+        complement_counter([LOOP_Z], 2), 2, primes=(4, 9), check_prime=8
     )
-    assert cls == T**2
+    assert report.interpolated == T**2
     z = tutte_delcon(polygon(3))
-    cls = interpolate_class(
-        lambda q: count_complement(z, 4, q), 4, primes=(8, 4, 9, 2), check_prime=3
+    report = count_report(
+        complement_counter([z], 4), 4, primes=(8, 4, 9, 2), check_prime=3
     )
-    assert cls == T**4 + 2 * T**3 - 2 * T**2 - 2 * T + 2
+    assert report.interpolated == T**4 + 2 * T**3 - 2 * T**2 - 2 * T + 2
 
 
 def test_interpolate_overdetermined():
-    cls = interpolate_class(
-        lambda p: count_complement(LOOP_Z, 2, p),
+    report = count_report(
+        complement_counter([LOOP_Z], 2),
         2,
         primes=(2, 3, 5, 7, 11),
         check_prime=13,
     )
-    assert cls == T**2
+    assert report.interpolated == T**2
 
 
 def test_interpolate_seed_classes():
     z2 = tutte_delcon(banana(2))
-    cls2 = interpolate_class(lambda p: count_complement(z2, 3, p), 3)
+    cls2 = count_report(complement_counter([z2], 3), 3).interpolated
     assert cls2 == T**3 + T**2 - 1
     z3 = tutte_delcon(polygon(3))
-    cls3 = interpolate_class(lambda p: count_complement(z3, 4, p), 4)
+    cls3 = count_report(complement_counter([z3], 4), 4).interpolated
     assert cls3 == T**4 + 2 * T**3 - 2 * T**2 - 2 * T + 2
 
 
 def test_count_report_round_trip():
     z = tutte_delcon(banana(2))
-    report = count_report(lambda p: count_complement(z, 3, p), 3)
+    report = count_report(complement_counter([z], 3), 3)
     for p, n in report.samples:
         assert report.interpolated.eval_int(p - 1) == n
     assert report.check[1] == report.check[2]
@@ -208,23 +217,23 @@ def test_interpolate_rejects_non_polynomial_counts():
     fake = {2: 1, 3: 4, 5: 16, 7: 999}
 
     with pytest.raises(NotPolynomialCountError):
-        interpolate_class(lambda p: fake[p], 2, primes=(2, 3, 5), check_prime=7)
+        count_report(lambda p: fake[p], 2, primes=(2, 3, 5), check_prime=7)
 
 
 def test_interpolate_rejects_non_integer_fit():
     with pytest.raises(NotPolynomialCountError):
-        interpolate_class(lambda p: 1 if p == 2 else 2, 1, primes=(2, 3), check_prime=5)
+        count_report(lambda p: 1 if p == 2 else 2, 1, primes=(2, 3), check_prime=5)
 
 
 def test_interpolate_rejects_a_higher_degree():
     # n = q^3 is T^3 + ... only when the ambient dimension is 3
     with pytest.raises(NotPolynomialCountError):
-        interpolate_class(lambda q: q**3, 2, primes=(2, 3, 5), check_prime=7)
+        count_report(lambda q: q**3, 2, primes=(2, 3, 5), check_prime=7)
 
 
 def test_interpolate_needs_enough_primes():
     with pytest.raises(InvalidArgumentError):
-        interpolate_class(lambda p: p, 3, primes=(2, 3), check_prime=5)
+        count_report(lambda p: p, 3, primes=(2, 3), check_prime=5)
 
 
 def test_locus_complement_class_matches_hand_count():
@@ -242,7 +251,7 @@ def test_fixed_q_class_triangle():
 def test_f2_complement_is_one():
     for g in (polygon(1), polygon(2), polygon(3), banana(3)):
         z = tutte_delcon(g)
-        assert count_complement(z, g.edge_count + 1, 2) == 1
+        assert complement_counter([z], g.edge_count + 1)(2) == 1
 
 
 def test_fixed_q_plan_is_the_ladder_minus_f2(monkeypatch):
@@ -279,26 +288,6 @@ def test_zero_polynomial_complement_class_is_zero(monkeypatch):
     assert locus_complement_class([], 2) == ClassPoly.zero()
 
 
-@pytest.fixture
-def conversions(monkeypatch):
-    """Counts of the calls to the dense conversion and to the kernel,
-    through counting wrappers on both module attributes."""
-    calls = {"dense": 0, "kernel": 0}
-    dense, kernel = pointcount._dense_system, _countpure.count_common_zeros
-
-    def counted_dense(*args):
-        calls["dense"] += 1
-        return dense(*args)
-
-    def counted_kernel(*args, **kwargs):
-        calls["kernel"] += 1
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(pointcount, "_dense_system", counted_dense)
-    monkeypatch.setattr(_countpure, "count_common_zeros", counted_kernel)
-    return calls
-
-
 def test_a_report_converts_once(conversions):
     # the kernel counts every sample field and the check field; the
     # polynomials are converted for the first of them only
@@ -330,16 +319,16 @@ def test_potts_count_converts_once(conversions, extra, dim):
 @pytest.mark.parametrize("q0", [-1, 1157])  # 1157 is 2 mod 3, 5, 7 and 11
 def test_fixed_q_report_counts_every_field_from_one_conversion(graph, q0):
     # the report's one conversion of Z_G serves every field of its plan: each
-    # sample and the check equal count_fixed_q in that field, which slices at
+    # sample and the check equal fixed_q_count in that field, which slices at
     # q0 % char in odd characteristic and at the generator x of F4 and F8
     z = tutte_delcon(graph)
     edges = graph.edge_count
     report = fixed_q_report(z, q0, edges)
     assert report.samples == tuple(
-        (q, count_fixed_q(z, q0, edges, q)) for q, _ in report.samples
+        (q, fixed_q_count(z, q0, edges, q)) for q, _ in report.samples
     )
     check, _, observed = report.check
-    assert observed == count_fixed_q(z, q0, edges, check)
+    assert observed == fixed_q_count(z, q0, edges, check)
     assert report.interpolated == fixed_q_class(z, edges)
 
 

@@ -1,6 +1,8 @@
 """Every `potts verify` check, run by pytest under its report name, and the
 memo that `run_suite` keeps for the length of one run."""
 
+from itertools import islice
+
 import pytest
 
 from pottsmotive import _countpure, _runmemo, pointcount, tutte, verify
@@ -59,21 +61,42 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def _two_counters(z, ambient_dim, **kwargs):
+    """Two counters of one polynomial, each converting it on its own."""
+    return [pointcount.complement_counter([z], ambient_dim, **kwargs) for _ in range(2)]
+
+
 def test_memo_shares_z_and_counts_within_a_run(kernel_calls):
     with _runmemo.run():
         z = tutte.tutte_delcon(TRIANGLE)
         assert tutte.tutte_delcon(MultiGraph(3, TRIANGLE.edges)) is z
-        n = pointcount.count_complement(z, 4, 5)
-        assert pointcount.count_complement(z, 4, 5) == n
-        # a new counter on an equal system meets the same key
-        assert pointcount.count_zero_locus([z], 4, 5) == 5**4 - n
+        first, second = _two_counters(z, 4)
+        n = first(5)
+        assert first(5) == n
+        # a second counter on an equal system meets the same key
+        assert second(5) == n
         assert kernel_calls == [5]
-        pointcount.count_complement(z, 4, 7)
+        second(7)
         assert kernel_calls == [5, 7]
-        complement = pointcount.fixed_q_counter(z, 3)
-        assert complement(5, 2) == complement(5, 2)
-        complement(5, 3)
+        first, second = _two_counters(z, 3, fixed_q=True)
+        assert first(5, 2) == second(5, 2)
+        second(5, 3)
         assert kernel_calls == [5, 7, 5, 5]
+
+
+def test_oracle_checks_of_a_graph_convert_its_z_once(monkeypatch, conversions):
+    # complement-plus-zeros and f2-count-is-1 share one counter, built
+    # between the checks; outside a run each count still reaches the kernel
+    monkeypatch.setattr(verify, "corpus", lambda: [("triangle", TRIANGLE)])
+    checks = dict(islice(verify.suite_oracle(5), 2))
+    assert list(checks) == [
+        "oracle/complement-plus-zeros/triangle",
+        "oracle/f2-count-is-1/triangle",
+    ]
+    for check in checks.values():
+        ok, detail = check()
+        assert ok, detail
+    assert conversions == {"dense": 1, "kernel": 3}
 
 
 def test_nested_run_restores_the_outer_memo():
@@ -88,8 +111,8 @@ def test_nested_run_restores_the_outer_memo():
 def _count_twice():
     z = tutte.tutte_delcon(TRIANGLE)
     assert tutte.tutte_delcon(TRIANGLE) is not z
-    pointcount.count_complement(z, 4, 5)
-    pointcount.count_complement(z, 4, 5)
+    for complement in _two_counters(z, 4):
+        complement(5)
 
 
 def test_memo_ends_when_the_run_returns(kernel_calls):
@@ -103,7 +126,7 @@ def test_memo_ends_when_the_run_returns(kernel_calls):
 def test_memo_ends_when_the_run_raises(monkeypatch, kernel_calls):
     def failing_suite(max_dim=5):
         yield "memo/count", lambda: (
-            pointcount.count_complement(tutte.tutte_delcon(TRIANGLE), 4, 5) > 0,
+            pointcount.complement_counter([tutte.tutte_delcon(TRIANGLE)], 4)(5) > 0,
             "counted",
         )
         raise RuntimeError("suite broke partway")
@@ -121,19 +144,19 @@ def test_memo_ends_when_the_run_raises(monkeypatch, kernel_calls):
 def test_refusals_are_never_memoised(monkeypatch, kernel_calls):
     with _runmemo.run():
         z = tutte.tutte_delcon(TRIANGLE)
-        n = pointcount.count_complement(z, 4, 5)
+        first, second = _two_counters(z, 4)
+        n = first(5)
         monkeypatch.setenv("POTTS_BUDGET", str(5**4 - 1))
         with pytest.raises(ResourceLimitError):
-            pointcount.count_complement(z, 4, 5)
+            second(5)
         monkeypatch.delenv("POTTS_BUDGET")
         with pytest.raises(InvalidArgumentError):
-            pointcount.count_complement(z, 4, 6)
+            second(6)
         # a kernel fault is raised again, not kept
-        complement = pointcount.fixed_q_counter(z, 3)
-        for _ in range(2):
+        for complement in _two_counters(z, 3, fixed_q=True):
             with pytest.raises(ValueError):
                 complement(5, 7)
-        assert pointcount.count_complement(z, 4, 5) == n
+        assert second(5) == n
     # the first count and the kernel's two refusals of element 7; the last
     # count was the kept one
     assert kernel_calls == [5, 5, 5]
