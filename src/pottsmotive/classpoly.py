@@ -8,9 +8,10 @@ c(p - 1) points over the field with p elements.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Union
 
-from .errors import ExactDivisionError, InvalidArgumentError
+from .errors import ExactDivisionError, InvalidArgumentError, ResourceLimitError
 
 
 class ClassPoly:
@@ -49,6 +50,7 @@ class ClassPoly:
     def monomial(cls, power: int, coeff: int = 1) -> "ClassPoly":
         if power < 0:
             raise InvalidArgumentError("negative power of T")
+        _check_length(power + 1)
         return cls((0,) * power + (coeff,))
 
     # -- ring structure ------------------------------------------------------
@@ -120,6 +122,7 @@ class ClassPoly:
             return ONE
         if not a:
             return self
+        _check_length((len(a) - 1) * n + 1)
         # the coefficients of a^n are at most its value at 1 with every
         # coefficient made positive
         w = _width(sum(map(abs, a)) ** n)
@@ -161,6 +164,7 @@ class ClassPoly:
             raise InvalidArgumentError("negative power of T")
         if not self.coeffs:
             return self
+        _check_length(len(self.coeffs) + k)
         return _poly([0] * k + list(self.coeffs))
 
     def divexact(self, divisor: "ClassPoly") -> "ClassPoly":
@@ -229,6 +233,15 @@ def _poly(cs: list) -> ClassPoly:
     p = object.__new__(ClassPoly)
     object.__setattr__(p, "coeffs", tuple(cs))
     return p
+
+
+def _check_length(count: int) -> None:
+    """Refuse a class of count coefficients that no tuple can hold, before
+    any arithmetic builds it."""
+    if count > sys.maxsize:
+        raise ResourceLimitError(
+            f"a class with {count} coefficients is too large to represent"
+        )
 
 
 def _width(bound: int) -> int:

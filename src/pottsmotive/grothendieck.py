@@ -10,12 +10,19 @@ dimension.  The point-counting oracle is the independent check for all of
 this; functions here are pure class algebra except where they explicitly
 take counting parameters.
 
+The linear recurrences step on packed integers: each class is replaced by
+its value at X = 2^(8w), the integer recurrence is exact because that
+evaluation is a ring map, and only the requested term is read back, with w
+and the read-back length taken from bounds run through the same recurrence.
+
 The fixed-q block classes of the two families are kept once each: a chain
-class is only the block to the n-th power shifted by T^{k(n-1)}, and a chi
-grid builds every row of one m from the same block.  The memo holds the
-last _BLOCKS blocks and no more, since m is unbounded and each block has
-m + 2 coefficients; the chi command walks m outermost, so a small bound
-already serves every row.  The public functions stay plain functions that
+class is only the block to the n-th power shifted by T^{k(n-1)}, a shape
+that chain_shape alone writes, and a chi grid builds every row of one m
+from the same block.  A chi row applies that shape to the block's value at
+T = -2 rather than to the block, so no chain class is built for it.  The
+memo holds the last _BLOCKS blocks and no more, since m is unbounded and
+each block has m + 2 coefficients; the chi command walks m outermost, so a
+small bound already serves every row.  The public functions stay plain functions that
 call private lru_cache helpers: perfbench's tracer wraps only plain
 functions, and a decorated entry point would drop out of its counts.
 """
@@ -23,11 +30,20 @@ functions, and a decorated entry point would drop out of its counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import add, mul
+from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
-from .classpoly import T, ClassPoly, RationalClass
+from .classpoly import (
+    T,
+    ClassPoly,
+    RationalClass,
+    _check_length,
+    _pack,
+    _poly,
+    _unpack,
+    _width,
+)
 from .errors import InvalidArgumentError
 from .multigraph import FamilySpec, MultiGraph
 from .pointcount import complement_class, locus_complement_class
@@ -89,15 +105,37 @@ def linear_recurrence(
     coeffs: Sequence[ClassPoly], seeds: Sequence[ClassPoly], m: int
 ) -> ClassPoly:
     """m-th term of the recurrence x[n+k] = c[0]x[n] + ... + c[k-1]x[n+k-1]
-    with coeffs (c[0], ..., c[k-1]) and first terms seeds (x[0], ..., x[k-1])."""
+    with coeffs (c[0], ..., c[k-1]) and first terms seeds (x[0], ..., x[k-1]).
+
+    The window steps on packed integers, each class replaced by its value
+    at X = 2^(8w) (classpoly's Kronecker packing).  Evaluation at X is a
+    ring map, so the integer recurrence is exact, and only the m-th term
+    is read back.  A first pass over bounds fixes w and the read-back
+    length: M[n], a bound on the largest |coefficient| of x[n], obeys
+    M[n+k] = sum ||c[i]||_1 M[n+i], and L[n], a bound on its number of
+    coefficients, obeys L[n+k] = max (L[n+i] + deg c[i]) over the nonzero
+    products."""
     if m < 0:
         raise InvalidArgumentError("negative recurrence index")
-    window = list(seeds)
-    if m < len(window):
-        return window[m]
-    for _ in range(m - len(window) + 1):
-        window = window[1:] + [reduce(add, map(mul, coeffs, window))]
-    return window[-1]
+    if m < len(seeds):
+        return seeds[m]
+    steps = m - len(seeds) + 1
+    norms = [sum(map(abs, c.coeffs)) for c in coeffs]
+    degrees = [len(c.coeffs) - 1 for c in coeffs]  # -1 for a zero coefficient
+    bounds = [max(map(abs, s.coeffs), default=0) for s in seeds]
+    lengths = [len(s.coeffs) for s in seeds]
+    for _ in range(steps):
+        bounds = bounds[1:] + [sum(map(mul, norms, bounds))]
+        longest = max(
+            (n + d for n, d in zip(lengths, degrees) if n and d >= 0), default=0
+        )
+        lengths = lengths[1:] + [longest]
+    w = _width(bounds[-1])
+    packed = [_pack(c.coeffs, w) for c in coeffs]
+    window = [_pack(s.coeffs, w) for s in seeds]
+    for _ in range(steps):
+        window = window[1:] + [sum(map(mul, packed, window))]
+    return _poly(_unpack(window[-1], lengths[-1], w))
 
 
 _SPLIT_COEFFS = (-(T * (T - 1)), -(T * T - 3 * T + 1), 2 * T - 2)
@@ -213,19 +251,26 @@ def _banana_block(m: int) -> ClassPoly:
     return (T + 1) ** (m + 1) - ClassPoly.monomial(m)
 
 
+def chain_shape(block, spec: FamilySpec, times_T_power=ClassPoly.scale_T_power):
+    """The chain shape block^n T^{k(n-1)}: n blocks, each connector of k
+    edges multiplying by T.  Given a block class, the chain class; given
+    the block's image under a ring map out of Z[T], with times_T_power(x, e)
+    multiplying x by the image of T^e, the chain class's image, with no
+    class built.  A chain class of degree (m+1)n + k(n-1) with more
+    coefficients than a tuple holds is refused before any arithmetic."""
+    _check_length(spec.edge_count + 1)
+    return times_T_power(block**spec.n, spec.k * (spec.n - 1))
+
+
 def chain_polygon_class_fixed_q(spec: FamilySpec) -> ClassPoly:
     """Fixed-q class of the polygon chain: one block class to the n-th power
     times T^{k(n-1)} for the connector edges."""
-    return (polygon_class_fixed_q(spec.m) ** spec.n).scale_T_power(
-        spec.k * (spec.n - 1)
-    )
+    return chain_shape(polygon_class_fixed_q(spec.m), spec)
 
 
 def chain_banana_class_fixed_q(spec: FamilySpec) -> ClassPoly:
     """Fixed-q class of the banana chain: ((T+1)^{m+1} - T^m)^n T^{k(n-1)}."""
-    return (banana_class_fixed_q(spec.m) ** spec.n).scale_T_power(
-        spec.k * (spec.n - 1)
-    )
+    return chain_shape(banana_class_fixed_q(spec.m), spec)
 
 
 POLYGON_SEEDS = SplitSeeds(

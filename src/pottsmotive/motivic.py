@@ -15,6 +15,11 @@ when its class is a polynomial in T, which the counting oracle certifies.
 The last two share one Taylor shift: the coefficients a_i of c(s - 1),
 computed once per call by Horner's rule over ClassPoly, are read as the
 polynomial sum a_i u^i or sum a_i (xy)^i and built as one MPoly.
+
+A chi table row needs the chain class only at T = -2, so it evaluates the
+block class there first and applies the chain shape block^n T^{k(n-1)} to
+the integer, as b^n (-2)^{k(n-1)}: the same value, since T -> -2 is a ring
+map, without building the n-th power of the block.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .classpoly import T, ZERO, ClassPoly
-from .grothendieck import chain_banana_class_fixed_q, chain_polygon_class_fixed_q
+from .grothendieck import banana_class_fixed_q, chain_shape, polygon_class_fixed_q
 from .mpoly import MPoly
 from .multigraph import FamilySpec
 
@@ -92,18 +97,23 @@ def chi_c_chain_bananas(spec: FamilySpec) -> int:
 
 def chain_polygon_chi_table_row(spec: FamilySpec) -> dict:
     """One row of the chi table for the polygon chain family."""
-    cls = chain_polygon_class_fixed_q(spec)
-    return _chi_row(spec, cls, chi_c_chain_polygons(spec))
+    at_minus_2 = _chain_at_minus_2(polygon_class_fixed_q(spec.m), spec)
+    return _chi_row(spec, at_minus_2, chi_c_chain_polygons(spec))
 
 
 def chain_banana_chi_table_row(spec: FamilySpec) -> dict:
     """One row of the chi table for the banana chain family."""
-    cls = chain_banana_class_fixed_q(spec)
-    return _chi_row(spec, cls, chi_c_chain_bananas(spec))
+    at_minus_2 = _chain_at_minus_2(banana_class_fixed_q(spec.m), spec)
+    return _chi_row(spec, at_minus_2, chi_c_chain_bananas(spec))
 
 
-def _chi_row(spec: FamilySpec, cls: ClassPoly, closed: int) -> dict:
-    at_minus_2 = chi_c_real(cls)
+def _chain_at_minus_2(block: ClassPoly, spec: FamilySpec) -> int:
+    """chi_c_real of the chain class, as the chain shape applied to the
+    block's value at T = -2."""
+    return chain_shape(chi_c_real(block), spec, lambda x, e: x * (-2) ** e)
+
+
+def _chi_row(spec: FamilySpec, at_minus_2: int, closed: int) -> dict:
     locus = _locus_from_complement(at_minus_2, spec.edge_count)
     return {
         "m": spec.m,

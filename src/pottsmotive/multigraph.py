@@ -294,26 +294,28 @@ def parse_edge_list(text: str) -> MultiGraph:
     if not lines or not lines[0].startswith("V"):
         raise InvalidParameterError('graph file must start with a "V <count>" line')
     head = lines[0].split()
-    # isdecimal, not isdigit: int() refuses digits such as "²"
-    if len(head) != 2 or not head[1].isdecimal():
+    if len(head) != 2 or not _is_ascii_number(head[1]):
         raise InvalidParameterError(f"malformed vertex line {lines[0]!r}")
     vertex_count = int(head[1])
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 3:
+        if len(parts) != 3 or not all(map(_is_ascii_number, parts[1:])):
             raise InvalidParameterError(f"malformed edge line {ln!r}")
         eid, u, v = parts
-        try:
-            edges.append((eid, int(u), int(v)))
-        except ValueError as exc:
-            raise InvalidParameterError(f"malformed edge line {ln!r}") from exc
+        edges.append((eid, int(u), int(v)))
     try:
         return MultiGraph(vertex_count, tuple(edges))
     except InvalidParameterError:
         raise
     except Exception as exc:  # defensive: surface as a parse error
         raise InvalidParameterError(str(exc)) from exc
+
+
+def _is_ascii_number(s: str) -> bool:
+    """ASCII decimal digits only: int() would also take "+0", "0_0", and
+    other scripts' digits such as the Arabic-Indic three."""
+    return s.isascii() and s.isdecimal()
 
 
 def format_edge_list(g: MultiGraph) -> str:

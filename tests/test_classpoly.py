@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pottsmotive.classpoly import ONE, T, ZERO, ClassPoly, _pack, _unpack
+from pottsmotive.errors import ResourceLimitError
 
 BIG = 2**200
 
@@ -118,6 +119,22 @@ def test_results_hold_plain_ints():
     assert T**0 == ONE and ZERO**0 == ONE
     with pytest.raises(ValueError):
         T ** -1
+
+
+def test_unrepresentable_classes_are_refused():
+    huge = 2**63
+    for build in (
+        lambda: ClassPoly.monomial(huge),
+        lambda: ClassPoly.monomial(10**20, 3),
+        lambda: T.scale_T_power(huge),
+        lambda: (T + 1) ** huge,
+        lambda: T ** (10**20),
+    ):
+        with pytest.raises(ResourceLimitError):
+            build()
+    # zero and constant classes keep at most one coefficient
+    assert ZERO.scale_T_power(huge) == ZERO
+    assert ZERO**huge == ZERO and ONE**huge == ONE
 
 
 @pytest.mark.parametrize("w", [1, 2, 9])

@@ -40,7 +40,14 @@ def test_z_from_file(runner, tmp_path):
 
 def test_z_malformed_file_exits_2(runner, tmp_path):
     path = tmp_path / "bad.txt"
-    for text in ["not a graph\n", "V \u00b2\n1 0 0\n"]:
+    for text in [
+        "not a graph\n",
+        "V \u00b2\n1 0 0\n",
+        "V 2\n1 +0 1\n",
+        "V 2\n1 0_0 1\n",
+        "V 4\n1 0 \u0663\n",
+        "V \u0663\n1 0 0\n",
+    ]:
         path.write_text(text, encoding="utf-8")
         result = runner.invoke(cli, ["z", "--file", str(path)])
         assert result.exit_code == 2
@@ -244,6 +251,29 @@ def test_oracle_edge_budget_exit_3(runner, args):
     result = runner.invoke(cli, args)
     assert result.exit_code == 3
     assert "symbolic budget" in result.output
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["class", "--family", "polygon", "--m", HUGE],
+        ["class", "--family", "banana", "--m", HUGE],
+        ["class", "--family", "chain-banana", "--m", "1", "--N", HUGE],
+        ["cone", "--family", "banana", "--m", HUGE],
+        ["chi", "--family", "chain-polygon", "--m", HUGE],
+        ["chi", "--family", "chain-banana", "--m", HUGE],
+        ["chi", "--family", "chain-polygon", "--k", HUGE, "--N", "2"],
+        ["chi", "--family", "chain-banana", "--N", HUGE],
+    ],
+)
+def test_unrepresentable_class_exits_3(runner, args):
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 3
+    assert "too large to represent" in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 import functools
+import random
 
 import pytest
 
-from pottsmotive import _countpure, pointcount, tutte
+from pottsmotive import _countpure, pointcount, tangentcone, tutte
 from pottsmotive import grothendieck as gr
 from pottsmotive.classpoly import ONE, T, ZERO, ClassPoly, RationalClass
-from pottsmotive.errors import ExactDivisionError, InvalidArgumentError
+from pottsmotive.errors import ExactDivisionError, InvalidArgumentError, ResourceLimitError
 from pottsmotive.multigraph import (
     FamilySpec,
     MultiGraph,
@@ -182,6 +183,54 @@ def test_fixed_q_recursion_also_holds():
         assert gr.split_recursion(seeds, m) == gr.polygon_class_fixed_q(m)
 
 
+def _schoolbook_terms(coeffs, seeds, last):
+    """Terms 0..last of the recurrence, the window stepped with ClassPoly
+    + and *."""
+    window = list(seeds)
+    terms = list(seeds)
+    while len(terms) <= last:
+        window = window[1:] + [sum((c * x for c, x in zip(coeffs, window)), ZERO)]
+        terms.append(window[-1])
+    return terms[: last + 1]
+
+
+@pytest.mark.parametrize(
+    "coeffs, seeds",
+    [
+        (gr._SPLIT_COEFFS, gr.POLYGON_SEEDS),
+        (gr._SPLIT_COEFFS, tangentcone.POLYGON_CONE_SEEDS),
+        (tangentcone._Y_COEFFS, gr.POLYGON_SEEDS),
+        (tangentcone._Y_COEFFS, tangentcone.POLYGON_CONE_SEEDS),
+    ],
+)
+def test_packed_recurrence_matches_schoolbook(coeffs, seeds):
+    seeds = (seeds.s0, seeds.s1, seeds.s2)
+    for m, term in enumerate(_schoolbook_terms(coeffs, seeds, 119)):
+        assert gr.linear_recurrence(coeffs, seeds, m) == term
+
+
+def _random_class(rng):
+    big = 10**20
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ZERO
+    if kind == 1:
+        return ClassPoly.const(rng.randint(-big, big))
+    return ClassPoly([rng.randint(-big, big) for _ in range(rng.randint(2, 5))])
+
+
+def test_packed_recurrence_matches_schoolbook_on_random_systems():
+    rng = random.Random(16)
+    for _ in range(60):
+        order = rng.randint(1, 4)
+        coeffs = [_random_class(rng) for _ in range(order)]
+        seeds = [_random_class(rng) for _ in range(order)]
+        terms = _schoolbook_terms(coeffs, seeds, 40)
+        # the seeds, the first stepped terms, and two further indices
+        for m in {*range(order + 2), rng.randrange(order + 2, 41), 40}:
+            assert gr.linear_recurrence(coeffs, seeds, m) == terms[m]
+
+
 def _fresh_polygon_block(m):
     head = ClassPoly.monomial(m + 1)
     power = (T - 1) ** m
@@ -229,6 +278,15 @@ def test_chain_classes():
         (T**2 + T + 1) ** 2
     ).scale_T_power(1)
     assert gr.chain_banana_class_fixed_q(FamilySpec(1, 0, 2)) == (T**2 + T + 1) ** 2
+
+
+@pytest.mark.parametrize(
+    "spec", [FamilySpec(0, 2**63, 2), FamilySpec(1, 0, 2**63), FamilySpec(2**63, 0, 1)]
+)
+def test_unrepresentable_chain_classes_are_refused(spec):
+    for fn in (gr.chain_polygon_class_fixed_q, gr.chain_banana_class_fixed_q):
+        with pytest.raises(ResourceLimitError):
+            fn(spec)
 
 
 def test_chain_classes_match_oracle(run_checks):

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pottsmotive import motivic as mv
 from pottsmotive.classpoly import T, ClassPoly
+from pottsmotive.errors import ResourceLimitError
 from pottsmotive.grothendieck import (
     chain_banana_class_fixed_q,
     chain_polygon_class_fixed_q,
@@ -80,10 +82,10 @@ def test_chain_rows():
     row_b = mv.chain_banana_chi_table_row(FamilySpec(2, 0, 1))
     assert row_b["agree"] and row_b["closed_form"] == 4
     # both evaluated columns of every row agree with the public evaluations
-    # of its class
-    for m in range(4):
-        for k in range(3):
-            for n in range(1, 4):
+    # of its full class, over the benchmark's chi grid
+    for m in range(10):
+        for k in range(8):
+            for n in range(1, 9):
                 spec = FamilySpec(m, k, n)
                 for row_fn, class_fn in (
                     (mv.chain_polygon_chi_table_row, chain_polygon_class_fixed_q),
@@ -93,6 +95,17 @@ def test_chain_rows():
                     assert row["class_at_T=-2"] == mv.chi_c_real(cls)
                     assert row["chi_c_locus"] == mv.chi_c_real_locus(cls, spec.edge_count)
                     assert row["agree"]
+
+
+@pytest.mark.parametrize(
+    "spec", [FamilySpec(0, 2**63, 2), FamilySpec(1, 0, 2**63), FamilySpec(2**63, 0, 1)]
+)
+def test_unrepresentable_rows_are_refused(spec):
+    # refused before the closed form, which would compute 2^(k(n-1)) or
+    # its n-th power
+    for row_fn in (mv.chain_polygon_chi_table_row, mv.chain_banana_chi_table_row):
+        with pytest.raises(ResourceLimitError):
+            row_fn(spec)
 
 
 def test_decision_bound():

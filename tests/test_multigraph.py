@@ -227,3 +227,11 @@ def test_edge_list_parse_errors():
     # "²".isdigit() holds, yet int("²") fails
     with pytest.raises(InvalidParameterError, match="malformed vertex line"):
         parse_edge_list("V \u00b2\n1 0 0\n")
+    # int() takes a sign, an underscore and other scripts' digits; the
+    # format takes ASCII digits only
+    for endpoints in ("+0 1", "0_0 1", "0 \u0663", "-1 0"):
+        with pytest.raises(InvalidParameterError, match="malformed edge line"):
+            parse_edge_list(f"V 4\n1 {endpoints}\n")
+    for count in ("\u0663", "+3", "3_0"):
+        with pytest.raises(InvalidParameterError, match="malformed vertex line"):
+            parse_edge_list(f"V {count}\n1 0 0\n")
