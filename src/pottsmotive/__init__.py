@@ -4,7 +4,7 @@ torus class T, the edge splitting and doubling class recursions with family
 closed forms, motivic evaluations, and a finite-field point-counting oracle
 that independently verifies every class formula."""
 
-from .classpoly import ONE, T, ZERO, ClassPoly, RationalClass, lefschetz
+from .classpoly import ONE, T, ZERO, ClassPoly, RationalClass
 from .errors import (
     EdgeNotFoundError,
     ExactDivisionError,

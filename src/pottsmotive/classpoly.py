@@ -147,11 +147,6 @@ class ClassPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise InvalidArgumentError("degree of the zero class is undefined")
-        return len(self.coeffs) - 1
-
     def eval_int(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -197,7 +192,7 @@ class ClassPoly:
 
     # -- rendering ---------------------------------------------------------------
 
-    def render(self, var: str = "T") -> str:
+    def render(self) -> str:
         if not self.coeffs:
             return "0"
         # one string per term, joined once, as in MPoly.render
@@ -210,7 +205,7 @@ class ClassPoly:
             if power == 0:
                 body = str(mag)
             else:
-                head = var if power == 1 else f"{var}^{power}"
+                head = "T" if power == 1 else f"T^{power}"
                 body = head if mag == 1 else f"{mag}*{head}"
             if not parts:  # the leading sign has no space, and no "+"
                 parts.append("-" + body if c < 0 else body)
@@ -278,11 +273,6 @@ def _unpack(value: int, n: int, w: int) -> list:
 T = ClassPoly.monomial(1)
 ONE = ClassPoly.const(1)
 ZERO = ClassPoly.zero()
-
-
-def lefschetz(n: int = 1) -> ClassPoly:
-    """(T + 1)^n, the class of affine n-space."""
-    return (T + 1) ** n
 
 
 class RationalClass:

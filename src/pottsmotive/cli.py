@@ -28,7 +28,7 @@ from .errors import (
     PottsError,
     ResourceLimitError,
 )
-from .multigraph import FamilySpec, MultiGraph, banana, chain_bananas, chain_polygons, parse_edge_list, polygon
+from .multigraph import FamilySpec, MultiGraph, _parse_int, banana, chain_bananas, chain_polygons, parse_edge_list, polygon
 
 _EXIT_CODES = (
     (ResourceLimitError, 3),
@@ -89,9 +89,25 @@ def _within_edge_budget(g: MultiGraph) -> MultiGraph:
     return g
 
 
+class _Integer(click.ParamType):
+    """Integers as _parse_int reads them: click's int() would also take
+    "+2", "1_0", blanks around the digits and other scripts' digits."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        try:
+            return value if isinstance(value, int) else _parse_int(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
+_INT = _Integer()
+
+
 def _parse_primes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(_parse_int(p) for p in text.split(","))
     except ValueError as exc:
         raise click.UsageError(f"malformed prime list {text!r}") from exc
 
@@ -101,9 +117,9 @@ def _parse_grid(text: str, minimum: int = 0) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            values = list(range(int(lo), int(hi) + 1))
+            values = list(range(_parse_int(lo), _parse_int(hi) + 1))
         else:
-            values = [int(x) for x in text.split(",")]
+            values = [_parse_int(x) for x in text.split(",")]
     except ValueError as exc:
         raise click.UsageError(f"malformed grid {text!r}") from exc
     if not values:
@@ -133,9 +149,9 @@ WHICH = {
 @cli.command("z")
 @click.option("--file", type=click.File("r"), default=None, help="Graph edge-list file.")
 @click.option("--family", type=click.Choice(FAMILIES), default=None)
-@click.option("--m", type=int, default=None)
-@click.option("--k", type=int, default=0)
-@click.option("--N", "n", type=int, default=1)
+@click.option("--m", type=_INT, default=None)
+@click.option("--k", type=_INT, default=0)
+@click.option("--N", "n", type=_INT, default=1)
 @click.option("--which", type=click.Choice(sorted(WHICH)), default="z")
 @click.option("--format", "fmt", type=click.Choice(("text", "json")), default="text")
 @_exits
@@ -186,9 +202,9 @@ def _oracle_class(graph: MultiGraph, fixed_q: bool):
 
 @cli.command("class")
 @click.option("--family", type=click.Choice(FAMILIES), required=True)
-@click.option("--m", type=int, required=True)
-@click.option("--k", type=int, default=0)
-@click.option("--N", "n", type=int, default=1)
+@click.option("--m", type=_INT, required=True)
+@click.option("--k", type=_INT, default=0)
+@click.option("--N", "n", type=_INT, default=1)
 @click.option("--fixed-q", is_flag=True, default=False)
 @click.option("--oracle", is_flag=True, default=False, help="Re-derive by point counting and compare.")
 @_exits
@@ -216,7 +232,7 @@ def cmd_class(family, m, k, n, fixed_q, oracle):
 
 @cli.command("cone")
 @click.option("--family", type=click.Choice(("polygon", "banana")), required=True)
-@click.option("--m", type=int, required=True)
+@click.option("--m", type=_INT, required=True)
 @click.option("--oracle", is_flag=True, default=False)
 @_exits
 def cmd_cone(family, m, oracle):
@@ -287,9 +303,9 @@ def cmd_chi(family, m_grid, k_grid, n_grid, fmt):
 @cli.command("count")
 @click.option("--file", type=click.File("r"), default=None)
 @click.option("--family", type=click.Choice(FAMILIES), default=None)
-@click.option("--m", type=int, default=None)
-@click.option("--k", type=int, default=0)
-@click.option("--N", "n", type=int, default=1)
+@click.option("--m", type=_INT, default=None)
+@click.option("--k", type=_INT, default=0)
+@click.option("--N", "n", type=_INT, default=1)
 @click.option(
     "--primes",
     default=None,
@@ -298,14 +314,14 @@ def cmd_chi(family, m_grid, k_grid, n_grid, fmt):
 @click.option(
     "--check",
     "check_prime",
-    type=int,
+    type=_INT,
     default=None,
     help="Size of the reserved check field, a prime or 4, 8, 9.",
 )
 @click.option(
     "--q",
     "q0",
-    type=int,
+    type=_INT,
     default=None,
     help="Count the fixed-q slice at this q: q mod p in characteristic p odd, "
     "and the generator x of F_4 and F_8 in characteristic 2.",
@@ -331,7 +347,7 @@ def cmd_count(file, family, m, k, n, primes, check_prime, q0):
     type=click.Choice(tuple(verify.SUITES) + ("all",)),
     default="all",
 )
-@click.option("--max-dim", type=int, default=5, help="Largest ambient dimension the oracle checks enumerate.")
+@click.option("--max-dim", type=_INT, default=5, help="Largest ambient dimension the oracle checks enumerate.")
 @_exits
 def cmd_verify(suite, max_dim):
     """Run a cross-check suite; exit 1 if any check fails."""

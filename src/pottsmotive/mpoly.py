@@ -5,7 +5,8 @@ one variable per graph edge (named "t" + edge id).  Terms are stored as a
 dict mapping exponent tuples to nonzero int coefficients; the variable tuple
 is pruned to the variables that actually occur and kept in a canonical order
 (q first, then edge variables in numeric-aware name order), so structural
-equality is polynomial equality and printing is deterministic.
+equality is polynomial equality and printing is deterministic.  substitute
+puts an int, never a polynomial, in for one variable.
 
 MPoly(...) validates its input: it copies the exponent tuples, converts the
 coefficients with int(), and drops zero terms and unused variables.  A
@@ -93,11 +94,6 @@ class MPoly:
     @classmethod
     def var(cls, name: str) -> "MPoly":
         return cls((name,), {(1,): 1})
-
-    @classmethod
-    def monomial(cls, exponents: Mapping[str, int], coeff: int = 1) -> "MPoly":
-        names = tuple(exponents)
-        return cls(names, {tuple(exponents[n] for n in names): coeff})
 
     # -- ring structure ----------------------------------------------------
 
@@ -218,73 +214,26 @@ class MPoly:
             raise InvalidArgumentError("degree of the zero polynomial is undefined")
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        """Largest exponent of `name`; 0 when the variable does not occur."""
-        if name not in self.variables:
-            return 0
-        i = self.variables.index(name)
-        return max(e[i] for e in self.terms)
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
     # -- operations --------------------------------------------------------
 
-    def substitute(self, name: str, value: Union["MPoly", int]) -> "MPoly":
-        """Exact substitution of `value` for the variable `name`."""
+    def substitute(self, name: str, value: int) -> "MPoly":
+        """Exact substitution of the integer `value` for the variable `name`."""
+        if not isinstance(value, int):
+            raise TypeError(f"substitute takes an int, not {type(value).__name__}")
         if name not in self.variables:
             return self
+        # value**e is an int: each term lands on its own exponents without
+        # `name`, and no variable joins
         idx = self.variables.index(name)
-        rest = self.variables[:idx] + self.variables[idx + 1 :]
-        if isinstance(value, int):
-            # value**e is an int: each term lands on its own exponents
-            # without `name`, and no variable joins
-            out: dict = {}
-            for exps, c in self.terms.items():
-                key = exps[:idx] + exps[idx + 1 :]
-                out[key] = out.get(key, 0) + c * value ** exps[idx]
-            return MPoly(rest, out)
-        names = tuple(sorted(set(rest) | set(value.variables), key=var_sort_key))
-        pos = {n: i for i, n in enumerate(names)}
-        rest_idx = [pos[n] for n in rest]
-        value_idx = [pos[n] for n in value.variables]
-
-        def lift(exps, idx_map) -> list[int]:
-            e = [0] * len(names)
-            for i, x in zip(idx_map, exps):
-                e[i] = x
-            return e
-
-        # the terms of value**e, lifted to `names`, for each exponent e of `name`
-        powers: dict[int, list] = {}
         out: dict = {}
         for exps, c in self.terms.items():
-            e = exps[idx]
-            if e not in powers:
-                powers[e] = [
-                    (lift(pe, value_idx), pc) for pe, pc in (value**e).terms.items()
-                ]
-            base = lift(exps[:idx] + exps[idx + 1 :], rest_idx)
-            for pe, pc in powers[e]:
-                key = tuple(a + b for a, b in zip(base, pe))
-                out[key] = out.get(key, 0) + c * pc
-        return MPoly(names, out)
-
-    def eval_mod(self, assignment: Mapping[str, int], prime: int) -> int:
-        """Value at a point of the field with `prime` elements."""
-        for name in self.variables:
-            if name not in assignment:
-                raise InvalidArgumentError(f"no value assigned to variable {name!r}")
-        total = 0
-        vals = [assignment[n] % prime for n in self.variables]
-        for exps, c in self.terms.items():
-            term = c % prime
-            for v, e in zip(vals, exps):
-                if e:
-                    term = term * pow(v, e, prime) % prime
-            total = (total + term) % prime
-        return total
+            key = exps[:idx] + exps[idx + 1 :]
+            out[key] = out.get(key, 0) + c * value ** exps[idx]
+        return MPoly(self.variables[:idx] + self.variables[idx + 1 :], out)
 
     def lowest_homogeneous_part(self) -> "MPoly":
         """Sum of the terms of minimal total degree (all variables weight 1)."""

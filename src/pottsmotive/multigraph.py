@@ -266,18 +266,16 @@ def chain_bananas(spec: FamilySpec) -> MultiGraph:
     return b.graph()
 
 
-def disjoint_union(g1: MultiGraph, g2: MultiGraph, suffix: str = "b") -> MultiGraph:
-    """Side-by-side union; an id of the second graph that collides gets the
-    suffix appended until it is free."""
-    if not suffix:
-        raise InvalidParameterError("the renaming suffix must be nonempty")
+def disjoint_union(g1: MultiGraph, g2: MultiGraph) -> MultiGraph:
+    """Side-by-side union; an id of the second graph that collides gets "b"
+    appended until it is free."""
     shift = g1.vertex_count
     taken = set(g1.edge_ids())
     edges = list(g1.edges)
     for eid, u, v in g2.edges:
         name = eid
         while name in taken:
-            name += suffix
+            name += "b"
         taken.add(name)
         edges.append((name, u + shift, v + shift))
     return MultiGraph(g1.vertex_count + g2.vertex_count, tuple(edges))
@@ -318,7 +316,8 @@ def _is_ascii_number(s: str) -> bool:
     return s.isascii() and s.isdecimal()
 
 
-def format_edge_list(g: MultiGraph) -> str:
-    lines = [f"V {g.vertex_count}"]
-    lines.extend(f"{eid} {u} {v}" for eid, u, v in g.edges)
-    return "\n".join(lines) + "\n"
+def _parse_int(s: str) -> int:
+    """An optional "-" and ASCII decimal digits, as an int; else ValueError."""
+    if not _is_ascii_number(s.removeprefix("-")):
+        raise ValueError(f"not a decimal integer: {s!r}")
+    return int(s)

@@ -5,8 +5,8 @@ Counting specializes one variable at a time over F_q and finishes the last
 few variables in closed form (root counts of affine and quadratic forms, see
 the kernel module); it consults no class formula of the package and is
 therefore the verification oracle.  The supported fields are F_p for a prime
-p below MAX_PRIME and F_4, F_8 and F_9; counts are sampled at the field sizes
-of FIELD_LADDER.
+p below MAX_PRIME and F_4, F_8 and F_9.  A report's plan (sample_plan)
+samples the first d field sizes of FIELD_LADDER and checks at the next one.
 
 For a polynomial-count variety, whose class is a polynomial in the torus
 class T, the number of F_q points equals that polynomial at T = q - 1 for
@@ -45,6 +45,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .mpoly import MPoly, var_sort_key
+from .multigraph import _parse_int
 
 DEFAULT_BUDGET = 10**8
 # the field sizes that plans sample, smallest first
@@ -64,7 +65,7 @@ def _budget() -> int:
     if not raw:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        return _parse_int(raw)
     except ValueError:
         raise InvalidArgumentError(
             f"POTTS_BUDGET must be a decimal integer, got {raw!r}"
@@ -237,30 +238,6 @@ def _check_fields(sizes: Iterable[int]) -> None:
         )
 
 
-def _ladder(fixed_q: bool) -> tuple[int, ...]:
-    """The ladder of a plan; a fixed-q plan drops F_2, whose only elements
-    are 0 and 1, at which every fixed-q slice degenerates."""
-    return FIELD_LADDER[1:] if fixed_q else FIELD_LADDER
-
-
-def default_primes(ambient_dim: int, *, fixed_q: bool = False) -> tuple[int, ...]:
-    """The d = ambient_dim sample fields of a plan: the first d sizes of the
-    ladder, which must leave one above them for the check field."""
-    ladder = _ladder(fixed_q)
-    if ambient_dim + 1 > len(ladder):
-        raise InvalidArgumentError("ambient dimension beyond the prime ladder")
-    return tuple(ladder[:ambient_dim])
-
-
-def default_check_prime(primes: Iterable[int], *, fixed_q: bool = False) -> int:
-    """The check field of a plan: the first ladder size above every sample."""
-    top = max(primes, default=0)
-    for q in _ladder(fixed_q):
-        if q > top:
-            return q
-    raise InvalidArgumentError("no check field left on the ladder")
-
-
 @dataclass(frozen=True)
 class CountReport:
     """Counts per sample field, with the interpolated class and its
@@ -298,19 +275,26 @@ def sample_plan(
     POTTS_BUDGET, or, for a fixed-q slice at q0, a field where the slice's
     element (see _slice_element) is 0 or 1: F_2, or an odd field where q0 is
     0 or 1 mod its characteristic (the slice degenerates there, so its count
-    says nothing about the class).  A fixed-q plan samples the ladder minus
-    F_2 by default, F_4 and F_8 at their generator x.  Callers that must
+    says nothing about the class).  By default a plan samples the first
+    ambient_dim sizes of the ladder and checks at the next size above every
+    sample; a fixed-q plan uses the ladder minus F_2, whose only elements
+    are 0 and 1, and F_4 and F_8 at their generator x.  Callers that must
     first build the polynomial to count call this before building it."""
-    fixed_q = q0 is not None
+    ladder = FIELD_LADDER if q0 is None else FIELD_LADDER[1:]
     if primes is None:
-        primes = default_primes(ambient_dim, fixed_q=fixed_q)
+        if ambient_dim + 1 > len(ladder):
+            raise InvalidArgumentError("ambient dimension beyond the prime ladder")
+        primes = ladder[:ambient_dim]
     primes = tuple(primes)
     if len(primes) < ambient_dim:
         raise InvalidArgumentError(
             f"need at least {ambient_dim} sample primes, got {len(primes)}"
         )
     if check_prime is None:
-        check_prime = default_check_prime(primes, fixed_q=fixed_q)
+        top = max(primes, default=0)
+        check_prime = next((q for q in ladder if q > top), None)
+        if check_prime is None:
+            raise InvalidArgumentError("no check field left on the ladder")
     if len(set(primes)) != len(primes):
         raise InvalidArgumentError(f"sample primes {primes} repeat a prime")
     if check_prime in primes:

@@ -485,6 +485,46 @@ def test_chi_empty_or_malformed_grid_exit_2(runner, grids):
     assert result.exit_code == 2
 
 
+_ROW = ["--k", "0", "--N", "1"]
+
+
+# an integer from the command line is an optional "-" and ASCII digits;
+# int() would also take "+", "_", blanks and other scripts' digits
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["chi", "--family", "chain-polygon", "--m", "+2", *_ROW],
+        ["chi", "--family", "chain-polygon", "--m", "1_0", *_ROW],
+        ["chi", "--family", "chain-polygon", "--m", "\u0663", *_ROW],
+        ["chi", "--family", "chain-polygon", "--m", " 2", *_ROW],
+        ["chi", "--family", "chain-banana", "--m", "0..+2", *_ROW],
+        ["chi", "--family", "chain-banana", "--m", "1", "--k", "0", "--N", "1,\u0662"],
+        ["class", "--family", "polygon", "--m", "\u0663"],
+        ["class", "--family", "chain-polygon", "--m", "1", "--k", "+1", "--N", "2"],
+        ["z", "--family", "polygon", "--m", "2 "],
+        ["cone", "--family", "banana", "--m", "1_0"],
+        ["count", "--family", "polygon", "--m", "2", "--primes", "+3,5,7,11", "--check", "13"],
+        ["count", "--family", "polygon", "--m", "2", "--primes", "3,5,7,11", "--check", "1_3"],
+        ["count", "--family", "polygon", "--m", "1", "--q", "\u0662"],
+        ["count", "--family", "polygon", "--m", "1", "--q", "--2"],
+        ["verify", "--max-dim", "\u0665"],
+    ],
+)
+def test_integer_spellings_exit_2(runner, args):
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_negative_integers_still_read(runner):
+    result = runner.invoke(cli, ["count", "--family", "polygon", "--m", "1", "--q", "-1"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["class_T"] == [1, 1, 1]
+    result = runner.invoke(cli, ["class", "--family", "polygon", "--m", "-1"])
+    assert result.exit_code == 2
+    assert "negative polygon index" in result.output
+
+
 # Sizes reach past the counting budget (ambient dimension 6) and the prime
 # ladder, but every graph stays at 15 edges or fewer, so each draw is fast.
 _SMALL = st.integers(min_value=-2, max_value=6).map(str)

@@ -38,30 +38,14 @@ def test_foreign_operand_raises_type_error(op, other):
 
 def test_substitute_examples():
     assert (Q * T1 + Q).substitute("t1", 0) == Q
-    assert (Q + T1).substitute("t1", -1 * Q) == MPoly.zero()
-    u1 = MPoly.var("u1")
-    assert (T1 * T2).substitute("t1", 1 + u1) == T2 + u1 * T2
+    # only an int is substituted: no polynomial, and no silent truncation
+    for value in (MPoly.const(1), Fraction(1, 2), 1.5):
+        with pytest.raises(TypeError):
+            (Q + T1).substitute("t1", value)
 
 
 def test_substitute_absent_variable():
     assert (Q + T1).substitute("t9", 5) == Q + T1
-
-
-def test_eval_mod_examples():
-    loop_z = Q * T1 + Q
-    assert loop_z.eval_mod({"q": 1, "t1": 1}, 2) == 0
-    assert loop_z.eval_mod({"q": 1, "t1": 0}, 2) == 1
-    tri = (
-        Q**3
-        + Q**2 * (T1 + T2 + edge_var("3"))
-        + Q * (T1 * T2 + T1 * edge_var("3") + T2 * edge_var("3") + T1 * T2 * edge_var("3"))
-    )
-    assert tri.eval_mod({"q": 2, "t1": 0, "t2": 0, "t3": 0}, 3) == 2
-
-
-def test_eval_mod_missing_assignment():
-    with pytest.raises(InvalidArgumentError):
-        (Q + T1).eval_mod({"q": 1}, 5)
 
 
 def test_lowest_homogeneous_part():
@@ -118,9 +102,6 @@ def test_variable_order_is_total():
 def test_degrees():
     p = Q**2 * T1 + T1 * T2
     assert p.total_degree() == 3
-    assert p.degree_in("q") == 2
-    assert p.degree_in("t1") == 1
-    assert p.degree_in("zz") == 0
     with pytest.raises(InvalidArgumentError):
         MPoly.zero().total_degree()
 
@@ -151,29 +132,6 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(polys())
-@settings(max_examples=100, deadline=None)
-def test_substitute_shift_round_trip(p):
-    v = MPoly.var("t1")
-    shifted = p.substitute("t1", v + 1)
-    assert shifted.substitute("t1", v - 1) == p
-
-
-@given(polys(), polys(), st.sampled_from([2, 3, 5, 7, 11, 13, 17]), st.data())
-@settings(max_examples=200, deadline=None)
-def test_eval_mod_is_homomorphism(a, b, prime, data):
-    point = {
-        name: data.draw(st.integers(min_value=0, max_value=prime - 1))
-        for name in ("q", "t1", "t2")
-    }
-    assert (a + b).eval_mod(point, prime) == (
-        a.eval_mod(point, prime) + b.eval_mod(point, prime)
-    ) % prime
-    assert (a * b).eval_mod(point, prime) == (
-        a.eval_mod(point, prime) * b.eval_mod(point, prime)
-    ) % prime
-
-
 @given(polys(), st.permutations(range(3)))
 @settings(max_examples=100, deadline=None)
 def test_variable_order_of_input_is_irrelevant(p, perm):
@@ -199,23 +157,15 @@ def _substitute_by_terms(p, name, value):
     for exps, c in p.terms.items():
         powers = dict(zip(p.variables, exps))
         e = powers.pop(name, 0)
-        out = out + MPoly.monomial(powers, c) * value**e
+        out = out + MPoly(tuple(powers), {tuple(powers.values()): c * value**e})
     return out
-
-
-@given(polys(), polys(), names)
-@settings(max_examples=100, deadline=None)
-def test_substitute_matches_termwise_definition(p, value, name):
-    assert p.substitute(name, value) == _substitute_by_terms(p, name, value)
 
 
 @given(polys(), names, st.integers(min_value=-4, max_value=4))
 @settings(max_examples=200, deadline=None)
-def test_substitute_int_matches_the_constant_polynomial(p, name, k):
-    # the general path, substituting the polynomial MPoly.const(k), is the
-    # reference for the integer path
-    assert p.substitute(name, k) == p.substitute(name, MPoly.const(k))
-    assert_valid(p.substitute(name, k))
+def test_substitute_matches_termwise_definition(p, name, value):
+    assert p.substitute(name, value) == _substitute_by_terms(p, name, value)
+    assert_valid(p.substitute(name, value))
 
 
 # -- the trusted constructor -----------------------------------------------

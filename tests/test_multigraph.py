@@ -9,7 +9,6 @@ from pottsmotive.multigraph import (
     chain_bananas,
     chain_polygons,
     disjoint_union,
-    format_edge_list,
     parse_edge_list,
     polygon,
 )
@@ -207,14 +206,10 @@ def test_disjoint_union_renames_until_free():
     g2 = MultiGraph(2, (("1b", 0, 1), ("1", 0, 1)))
     g = disjoint_union(g1, g2)
     assert g.edge_ids() == ("1", "1b", "1bb")
-    with pytest.raises(InvalidParameterError):
-        disjoint_union(g1, g2, suffix="")
 
 
-def test_edge_list_round_trip(triangle):
-    text = format_edge_list(triangle)
-    assert text.splitlines()[0] == "V 3"
-    assert parse_edge_list(text) == triangle
+def test_edge_list_round_trip():
+    assert parse_edge_list("V 3\n1 0 1\n2 1 2\n3 2 0\n") == polygon(3)
 
 
 def test_edge_list_parse_errors():

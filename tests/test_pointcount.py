@@ -18,8 +18,6 @@ from pottsmotive.pointcount import (
     complement_counter,
     complement_report,
     count_report,
-    default_check_prime,
-    default_primes,
     fixed_q_class,
     fixed_q_report,
     kernel_backend,
@@ -133,6 +131,20 @@ def test_budget_env(monkeypatch):
         complement_counter([LOOP_Z], 2)(3)
 
 
+# an optional "-" and ASCII digits; int() would also take the others
+@pytest.mark.parametrize("raw", ["1_000", "+1000", "\u0663\u0660\u0660\u0660", " 1000 ", "1e8"])
+def test_budget_spellings_refused(monkeypatch, raw):
+    monkeypatch.setenv("POTTS_BUDGET", raw)
+    with pytest.raises(InvalidArgumentError, match="POTTS_BUDGET must be a decimal integer"):
+        complement_counter([LOOP_Z], 2)(3)
+
+
+@pytest.mark.parametrize("raw, budget", [("1000", 1000), ("0009", 9), ("-1", -1)])
+def test_budget_spellings_read(monkeypatch, raw, budget):
+    monkeypatch.setenv("POTTS_BUDGET", raw)
+    assert pointcount._budget() == budget
+
+
 @pytest.mark.parametrize("modulus", [6, 25, 1, 0, -3, 2**31 + 11])
 def test_non_prime_modulus_rejected(modulus):
     # 2^31 + 11 is prime but above MAX_PRIME, the cap on trial division
@@ -150,16 +162,21 @@ def test_too_many_variables_rejected():
 
 
 def test_default_primes_and_check():
-    assert default_primes(4) == (2, 3, 4, 5)
-    assert default_check_prime((2, 3, 4, 5)) == 7
-    assert default_primes(7) == (2, 3, 4, 5, 7, 8, 9)
-    assert default_check_prime(default_primes(7)) == 11
+    assert sample_plan(4) == ((2, 3, 4, 5), 7)
+    assert sample_plan(4, (2, 3, 4, 5)) == ((2, 3, 4, 5), 7)
+    assert sample_plan(7) == ((2, 3, 4, 5, 7, 8, 9), 11)
+    assert sample_plan(0) == ((), 2)
     # a fixed-q plan is the ladder minus F_2
-    assert default_primes(3, fixed_q=True) == (3, 4, 5)
-    assert default_check_prime((3, 4, 5), fixed_q=True) == 7
-    assert default_primes(7, fixed_q=True) == (3, 4, 5, 7, 8, 9, 11)
-    assert default_check_prime(default_primes(7, fixed_q=True), fixed_q=True) == 13
-    assert default_check_prime((), fixed_q=True) == 3
+    assert sample_plan(3, q0=2) == ((3, 4, 5), 7)
+    assert sample_plan(3, (3, 4, 5), q0=2) == ((3, 4, 5), 7)
+    assert sample_plan(7, q0=2) == ((3, 4, 5, 7, 8, 9, 11), 13)
+    assert sample_plan(7, (3, 4, 5, 7, 8, 9, 11), q0=2) == ((3, 4, 5, 7, 8, 9, 11), 13)
+    assert sample_plan(0, q0=2) == ((), 3)
+    for q0 in (None, 2):
+        with pytest.raises(InvalidArgumentError, match="beyond the prime ladder"):
+            sample_plan(15, q0=q0)
+        with pytest.raises(InvalidArgumentError, match="no check field left on the ladder"):
+            sample_plan(1, (37,), q0=q0)
 
 
 def test_interpolate_loop_class():
