@@ -21,20 +21,48 @@ leaves serve every field.
 Early exits keep the recursion far below q^nvars nodes in practice:
   - a polynomial that reduces to a nonzero constant kills its branch,
   - a polynomial that vanishes identically stops constraining the branch,
-  - a single polynomial of degree <= 1 in each of the last two or three
-    variables is finished off in closed form,
-  - a single polynomial of degree <= 1 in each of the last four variables
-    is finished in one loop over the first of them, each value's slice
-    counted by the three-variable closed form with no further recursion,
-  - so is a pair of polynomials of degree <= 1 in each of the last two
-    variables.
+  - one polynomial of degree <= 1 in each of two, three or four variables,
+    and a pair of them in two or three, are finished off in closed form.
 
 The closed forms are linear-variable elimination at the leaves: a
 polynomial of degree <= 1 in z is A + B*z, which has one zero in z where
 B != 0, and none or q where B == 0.  Summing over the remaining variables
 leaves root counts of affine forms and of one quadratic: A*D - B*C for
 A + B*y + C*z + D*y*z, and the resultant C*B - A*D for the pair A + B*z,
-C + D*z.  Each is exact in O(1), in any field.
+C + D*z.  Each is exact in O(1), in any field, and written once, as a sum
+over weighted values (w, weight) of one more variable w of the zeros of
+L + w*H, each slice's coefficients computed inline from those of L and H:
+no list is built and no call made per value.  At the one value w = 0 with
+H = 0 the sum is the leaf itself; a single polynomial in two variables is
+the pair form with a zero second polynomial.
+
+Two exact reductions come before a node branches:
+  - Frobenius orbits.  x -> x^p is an automorphism of F_q that fixes F_p,
+    so where every coefficient lies in F_p the slices at v and at v^p
+    have equal counts.  Every loop over the values of a variable (the
+    branch loop, the univariate leaf and the sums of the closed forms)
+    then takes one value from each orbit (Field.orbits) and weights its
+    count by the orbit's size: 3 of the 4 elements of F_4, 4 of 8 in F_8
+    and 6 of 9 in F_9.  The condition travels as a flag, not a scan: it
+    holds at the top, where the coefficients are reduced mod p, unless a
+    fixed first variable lies outside F_p, and a branch keeps it exactly
+    when its value lies in F_p.
+  - Splitting off the first variable.  One polynomial L + x*H in at least
+    four variables, of degree <= 1 in its first variable x: if H == 0, x is
+    free and N = q*N(L); if L == c*H, the polynomial is (x + c)*H and
+    N = q^(n-1) + (q - 1)*N(H), the hyperplane x = -c plus the zeros of H
+    off it.  Either way the node recurses once instead of q times.
+
+Tried on the kernel calls of a perfbench oracle or verify pass and not
+kept, being slower or no faster: counting the three-variable form over the
+(w, x) plane at once (about 16 us a call against 2.5 us a slice, so slower
+below F_11); one generic multilinear recursion in place of the leaves
+(1.07x the time on oracle's calls, 1.26x on verify's); a list comprehension
+in _specialize (1.08x); sparse specialization (level: each column of the
+dense system of Z_G has one nonzero entry); inlining the helpers into the
+three-variable leaf (level); scanning every variable, not only the first,
+for a factor to split off (slower in every prototype); a per-call memo of
+scalar-normalised subsystems (from 2 % faster to 20 % slower).
 """
 
 import itertools
@@ -56,7 +84,9 @@ TABLE_MAX = 37
 class Field:
     """F_q as operation tables over the elements range(q): add[a][b] is
     a + b, mul[a][b] is a*b, neg[a] is -a, inv[a] is 1/a (a != 0), and
-    roots[b][c] is the number of roots of x^2 + b*x + c."""
+    roots[b][c] is the number of roots of x^2 + b*x + c.  orbits has a pair
+    (v, size) per orbit of x -> x^p, v its least element (None above the
+    tables, where every element is its own orbit)."""
 
     size: int
     char: int
@@ -65,6 +95,7 @@ class Field:
     neg: Sequence
     inv: Sequence
     roots: Sequence
+    orbits: Sequence | None
 
 
 def field(q):
@@ -96,7 +127,24 @@ def _table_field(q):
         square = mul[x][x]
         for b in range(q):
             roots[b][neg[add[square][mul[b][x]]]] += 1
-    return Field(q, p, add, mul, neg, inv, roots)
+    return Field(q, p, add, mul, neg, inv, roots, _frobenius_orbits(q, p, mul))
+
+
+def _frobenius_orbits(q, p, mul):
+    """(v, size) for each orbit of x -> x^p on range(q), v its least
+    element, walked round from the least element not yet seen."""
+    orbits, seen = [], set()
+    for v in range(q):
+        x, size = v, 0
+        while x not in seen:
+            seen.add(x)
+            power = 1
+            for _ in range(p):
+                power = mul[power][x]
+            x, size = power, size + 1
+        if size:
+            orbits.append((v, size))
+    return tuple(orbits)
 
 
 def _extension_tables(q, p, low):
@@ -155,6 +203,7 @@ def _modular_field(p):
         _Memo(lambda a: -a % p),
         _Memo(lambda a: pow(a, -1, p)),
         _Memo(lambda b: _Memo(lambda c: roots(b, c))),
+        None,
     )
 
 
@@ -182,7 +231,7 @@ def count_common_zeros(polys, nvars, q, *, first=None):
             active.append(poly)
     if not active:
         return q**free
-    return _count(active, free, F)
+    return _count(active, free, F, first is None or first < F.char)
 
 
 def brute_force(polys, nvars, q):
@@ -210,7 +259,9 @@ def brute_force(polys, nvars, q):
     return count
 
 
-def _count(polys, nvars, F):
+def _count(polys, nvars, F, rational):
+    """Common zeros of the nonzero polys over F_q^nvars; rational when
+    every coefficient lies in F_p."""
     q = F.size
     for _, coeffs in polys:
         if len(coeffs) == 1:
@@ -218,20 +269,29 @@ def _count(polys, nvars, F):
     if len(polys) == 1:
         shape, coeffs = polys[0]
         if nvars == 1:
-            return _univariate_zeros(coeffs, F)
+            return _univariate_zeros(coeffs, F, rational)
         if nvars <= 4 and max(shape) <= 2:
             c = _multilinear(shape, coeffs)
-            if nvars == 2:
-                return _bilinear_zeros(c, F)
+            if nvars == 2:  # the pair form with a zero second polynomial
+                return _bilinear_pair_zeros(c, (0,) * 4, (0,) * 4, (0,) * 4, _LEAF, F)
             if nvars == 3:
-                return _trilinear_zeros(c, F)
-            return _quadrilinear_zeros(c, F)
-    elif len(polys) == 2 and nvars == 2:
+                return _trilinear_zeros(c, (0,) * 8, _LEAF, F)
+            return _trilinear_zeros(c[:8], c[8:], _branches(F, rational), F)
+        if nvars >= 4 and shape[0] <= 2:
+            split = _split_first(shape, coeffs, nvars, F, rational)
+            if split is not None:
+                return split
+    elif len(polys) == 2 and 2 <= nvars <= 3:
         (s1, c1), (s2, c2) = polys
         if max(s1) <= 2 and max(s2) <= 2:
-            return _bilinear_pair_zeros(_multilinear(s1, c1), _multilinear(s2, c2), F)
+            f, g = _multilinear(s1, c1), _multilinear(s2, c2)
+            if nvars == 2:
+                return _bilinear_pair_zeros(f, (0,) * 4, g, (0,) * 4, _LEAF, F)
+            values = _branches(F, rational)
+            return _bilinear_pair_zeros(f[:4], f[4:], g[:4], g[4:], values, F)
+    p = F.char
     total = 0
-    for v in range(q):
+    for v, size in _branches(F, rational):
         branch = []
         dead = False
         for shape, coeffs in polys:
@@ -245,10 +305,44 @@ def _count(polys, nvars, F):
         if dead:
             continue
         if branch:
-            total += _count(branch, nvars - 1, F)
+            total += size * _count(branch, nvars - 1, F, rational and v < p)
         else:
-            total += q ** (nvars - 1)
+            total += size * q ** (nvars - 1)
     return total
+
+
+# the one value w = 0, weight 1: a closed form summed over it is the leaf
+_LEAF = ((0, 1),)
+
+
+def _branches(F, rational):
+    """The (v, weight) pairs a count sums over: one per Frobenius orbit,
+    weighted by its size, when every coefficient lies in F_p (conjugate
+    values then give equal counts); else every element once."""
+    if rational and F.orbits is not None:
+        return F.orbits
+    return zip(range(F.size), itertools.repeat(1))
+
+
+def _split_first(shape, coeffs, nvars, F, rational):
+    """The count of one polynomial L + x*H, x its first variable, when it
+    splits off x: q*N(L) when H == 0, and q^(n-1) + (q-1)*N(H) when
+    L == c*H, that is the polynomial is (x + c)*H.  None otherwise."""
+    q = F.size
+    rest = shape[1:]
+    if shape[0] == 1:
+        return q * _count([(rest, coeffs)], nvars - 1, F, rational)
+    block = len(coeffs) // 2
+    low, high = coeffs[:block], coeffs[block:]
+    for h, l in zip(high, low):
+        if h:
+            times_c = F.mul[F.mul[l][F.inv[h]]]
+            break
+    else:
+        return q * _count([(rest, low)], nvars - 1, F, rational)
+    if low != [times_c[h] for h in high]:
+        return None
+    return q ** (nvars - 1) + (q - 1) * _count([(rest, high)], nvars - 1, F, rational)
 
 
 def _specialize(shape, coeffs, v, F):
@@ -269,17 +363,17 @@ def _specialize(shape, coeffs, v, F):
     return None
 
 
-def _univariate_zeros(coeffs, F):
+def _univariate_zeros(coeffs, F, rational):
     add, mul = F.add, F.mul
     top = len(coeffs) - 1
     count = 0
-    for v in range(F.size):
+    for v, size in _branches(F, rational):
         times_v = mul[v]
         acc = coeffs[top]
         for i in range(top - 1, -1, -1):
             acc = add[times_v[acc]][coeffs[i]]
         if not acc:
-            count += 1
+            count += size
     return count
 
 
@@ -324,27 +418,18 @@ def _affine_common_roots(forms, F):
 
 def _quadratic_roots(c0, c1, c2, F):
     """Number of x in F_q with c0 + c1*x + c2*x^2 == 0."""
-    if not c2:
-        return _affine_common_roots([(c0, c1)], F)
-    s = F.inv[c2]
-    return F.roots[F.mul[c1][s]][F.mul[c0][s]]
+    if c2:
+        s = F.inv[c2]
+        return F.roots[F.mul[c1][s]][F.mul[c0][s]]
+    if c1:
+        return 1
+    return F.size if not c0 else 0
 
 
-def _bilinear_zeros(f, F):
-    """Zeros of A(x) + B(x)*y over F_q^2, A and B affine, in O(1): one y
-    where B != 0, and q where A == B == 0."""
-    a0, b0, a1, b1 = f
-    q = F.size
-    if b1:  # B vanishes at exactly one x
-        x = _root(F, b0, b1)
-        return (q - 1) + (0 if F.add[a0][F.mul[a1][x]] else q)
-    if b0:
-        return q
-    return q * _affine_common_roots([(a0, a1)], F)
-
-
-def _trilinear_zeros(f, F):
-    """Zeros of A + B*y + C*z + D*y*z over F_q^3, A..D affine in x, in O(1).
+def _trilinear_zeros(low, high, values, F):
+    """Zeros of L + w*H over F_q^3, summed over the weighted values
+    (w, weight); L and H are each laid out as A + B*y + C*z + D*y*z with
+    A..D affine in x, and every slice is counted in O(1).
 
     Where D(x) != 0 the (y, z) slice has q - 1 zeros, plus q when
     Q = A*D - B*C vanishes at x.  Where D(x) == 0, so that Q = -B*C, it has
@@ -352,73 +437,74 @@ def _trilinear_zeros(f, F):
     Summing over x, with nd, ndb, ndc and nall the numbers of x at which
     D, D and B, D and C, and all four vanish, gives
     (q - nd)(q - 1) + q(#roots of Q - ndb - ndc + nd) + q^2 nall."""
-    a0, c0, b0, d0, a1, c1, b1, d1 = f
+    la0, lc0, lb0, ld0, la1, lc1, lb1, ld1 = low
+    ha0, hc0, hb0, hd0, ha1, hc1, hb1, hd1 = high
     q = F.size
     add, mul, neg = F.add, F.mul, F.neg
-    nq = _quadratic_roots(
-        add[mul[a0][d0]][neg[mul[b0][c0]]],
-        add[add[mul[a0][d1]][mul[a1][d0]]][neg[add[mul[b0][c1]][mul[b1][c0]]]],
-        add[mul[a1][d1]][neg[mul[b1][c1]]],
-        F,
-    )
-    if d1:  # D vanishes at exactly one x
-        x = _root(F, d0, d1)
-        a = add[a0][mul[a1][x]]
-        b = add[b0][mul[b1][x]]
-        c = add[c0][mul[c1][x]]
-        nd, ndb, ndc, nall = 1, b == 0, c == 0, not (a or b or c)
-    elif d0:  # D never vanishes
-        return q * (q - 1 + nq)
-    else:  # D vanishes identically
-        nd = q
-        ndb = _affine_common_roots([(b0, b1)], F)
-        ndc = _affine_common_roots([(c0, c1)], F)
-        nall = _affine_common_roots([(a0, a1), (b0, b1), (c0, c1)], F)
-    return (q - nd) * (q - 1) + q * (nq - ndb - ndc + nd + q * nall)
-
-
-def _quadrilinear_zeros(f, F):
-    """Zeros of L + w*H over F_q^4, L and H trilinear in the last three
-    variables: the closed form of _trilinear_zeros summed over the q values
-    of w, each slice built straight from the coefficients."""
-    add, mul = F.add, F.mul
-    lo, hi = f[:8], f[8:]
     total = 0
-    for v in range(F.size):
-        times_v = mul[v]
-        total += _trilinear_zeros([add[times_v[h]][l] for h, l in zip(hi, lo)], F)
+    for w, weight in values:
+        t = mul[w]
+        a0, c0, b0, d0 = add[la0][t[ha0]], add[lc0][t[hc0]], add[lb0][t[hb0]], add[ld0][t[hd0]]
+        a1, c1, b1, d1 = add[la1][t[ha1]], add[lc1][t[hc1]], add[lb1][t[hb1]], add[ld1][t[hd1]]
+        nq = _quadratic_roots(
+            add[mul[a0][d0]][neg[mul[b0][c0]]],
+            add[add[mul[a0][d1]][mul[a1][d0]]][neg[add[mul[b0][c1]][mul[b1][c0]]]],
+            add[mul[a1][d1]][neg[mul[b1][c1]]],
+            F,
+        )
+        if d1:  # D vanishes at exactly one x
+            x = _root(F, d0, d1)
+            a = add[a0][mul[a1][x]]
+            b = add[b0][mul[b1][x]]
+            c = add[c0][mul[c1][x]]
+            nd, ndb, ndc, nall = 1, b == 0, c == 0, not (a or b or c)
+        elif d0:  # D never vanishes
+            total += weight * q * (q - 1 + nq)
+            continue
+        else:  # D vanishes identically
+            nd = q
+            ndb = _affine_common_roots([(b0, b1)], F)
+            ndc = _affine_common_roots([(c0, c1)], F)
+            nall = _affine_common_roots([(a0, a1), (b0, b1), (c0, c1)], F)
+        total += weight * ((q - nd) * (q - 1) + q * (nq - ndb - ndc + nd + q * nall))
     return total
 
 
-def _bilinear_pair_zeros(f, g, F):
-    """Common zeros of A + B*z and C + D*z over F_q^2, A..D affine in y, in
-    O(1).
+def _bilinear_pair_zeros(f_low, f_high, g_low, g_high, values, F):
+    """Common zeros of f = A + B*z and g = C + D*z over F_q^2, A..D affine
+    in y, summed over the weighted values (w, weight), where f and g are
+    f_low + w*f_high and g_low + w*g_high; every slice is counted in O(1).
 
-    Where B(y) != 0 the one zero z of the first is a common zero iff the
-    resultant R = C*B - A*D vanishes at y.  Where B(y) == 0, so that
-    R = -A*D, there is one common z if A == 0 != D, and q if
-    A == C == D == 0.  Summing over y gives
+    Where B(y) != 0 the one zero z of f is a common zero iff the resultant
+    R = C*B - A*D vanishes at y.  Where B(y) == 0, so that R = -A*D, there
+    is one common z if A == 0 != D, and q if A == C == D == 0.  Summing
+    over y gives
     #roots of R - #{B == D == 0} + q #{A == B == C == D == 0}."""
-    a0, b0, a1, b1 = f
-    c0, d0, c1, d1 = g
+    la0, lb0, la1, lb1 = f_low
+    ha0, hb0, ha1, hb1 = f_high
+    lc0, ld0, lc1, ld1 = g_low
+    hc0, hd0, hc1, hd1 = g_high
     q = F.size
     add, mul, neg = F.add, F.mul, F.neg
-    r = _quadratic_roots(
-        add[mul[c0][b0]][neg[mul[a0][d0]]],
-        add[add[mul[c0][b1]][mul[c1][b0]]][neg[add[mul[a0][d1]][mul[a1][d0]]]],
-        add[mul[c1][b1]][neg[mul[a1][d1]]],
-        F,
-    )
-    if b1:  # B vanishes at exactly one y
-        y = _root(F, b0, b1)
-        a = add[a0][mul[a1][y]]
-        c = add[c0][mul[c1][y]]
-        d = add[d0][mul[d1][y]]
-        return r - (d == 0) + (q if not (a or c or d) else 0)
-    if b0:  # B never vanishes
-        return r
-    return (
-        r
-        - _affine_common_roots([(d0, d1)], F)
-        + q * _affine_common_roots([(a0, a1), (c0, c1), (d0, d1)], F)
-    )
+    total = 0
+    for w, weight in values:
+        t = mul[w]
+        a0, b0, a1, b1 = add[la0][t[ha0]], add[lb0][t[hb0]], add[la1][t[ha1]], add[lb1][t[hb1]]
+        c0, d0, c1, d1 = add[lc0][t[hc0]], add[ld0][t[hd0]], add[lc1][t[hc1]], add[ld1][t[hd1]]
+        r = _quadratic_roots(
+            add[mul[c0][b0]][neg[mul[a0][d0]]],
+            add[add[mul[c0][b1]][mul[c1][b0]]][neg[add[mul[a0][d1]][mul[a1][d0]]]],
+            add[mul[c1][b1]][neg[mul[a1][d1]]],
+            F,
+        )
+        if b1:  # B vanishes at exactly one y
+            y = _root(F, b0, b1)
+            a = add[a0][mul[a1][y]]
+            c = add[c0][mul[c1][y]]
+            d = add[d0][mul[d1][y]]
+            r += (q if not (a or c or d) else 0) - (d == 0)
+        elif not b0:  # B vanishes identically
+            r += q * _affine_common_roots([(a0, a1), (c0, c1), (d0, d1)], F)
+            r -= _affine_common_roots([(d0, d1)], F)
+        total += weight * r
+    return total

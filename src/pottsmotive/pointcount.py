@@ -187,7 +187,7 @@ def _class_from_samples(samples, ambient_dim: int) -> ClassPoly:
     prod (L - q_i) by divided differences over the integers; a division that
     leaves a remainder, or a nonzero difference of order d or more, means
     the counts are no such class.  Horner then rebases r from L to
-    T = L - 1."""
+    T = L - 1 on a list of ints and adds the binomial row of (T + 1)^d."""
     xs = [q for q, _ in samples]
     diffs = [n - q**ambient_dim for q, n in samples]
     for order in range(1, len(xs)):
@@ -202,10 +202,17 @@ def _class_from_samples(samples, ambient_dim: int) -> ClassPoly:
         raise NotPolynomialCountError(
             f"counts {samples} are not T^{ambient_dim} plus a class of lower degree"
         )
-    rest = ClassPoly.zero()
+    coeffs = [0] * (ambient_dim + 1)
     for k in range(min(ambient_dim, len(xs)) - 1, -1, -1):
-        rest = rest * ClassPoly((1 - xs[k], 1)) + diffs[k]
-    return rest + ClassPoly((1, 1)) ** ambient_dim
+        shift = 1 - xs[k]  # coeffs = coeffs * (T + shift) + diffs[k]
+        for i in range(ambient_dim, 0, -1):
+            coeffs[i] = coeffs[i] * shift + coeffs[i - 1]
+        coeffs[0] = coeffs[0] * shift + diffs[k]
+    binomial = 1
+    for i in range(ambient_dim + 1):
+        coeffs[i] += binomial
+        binomial = binomial * (ambient_dim - i) // (i + 1)
+    return ClassPoly(coeffs)
 
 
 def _is_prime(n: int) -> bool:
@@ -321,12 +328,15 @@ def count_report(
     ambient_dim: int,
     primes: Sequence[int] | None = None,
     check_prime: int | None = None,
+    *,
+    q0: int | None = None,
 ) -> CountReport:
     """Run the counter, which counts the complement of a proper subvariety of
     A^ambient_dim over the field of the size it is given, at the sample
     fields, interpolate, and verify at the check field; raises
-    NotPolynomialCountError on any inconsistency."""
-    primes, check_prime = sample_plan(ambient_dim, primes, check_prime)
+    NotPolynomialCountError on any inconsistency.  The one plan of the
+    report (sample_plan, with q0 for a fixed-q slice) is made first."""
+    primes, check_prime = sample_plan(ambient_dim, primes, check_prime, q0=q0)
     samples = tuple((q, counter(q)) for q in primes)
     cls = _class_from_samples(samples, ambient_dim)
     predicted = cls.eval_int(check_prime - 1)
@@ -346,13 +356,21 @@ def _locus_report(
     ambient_dim: int,
     primes: Sequence[int] | None = None,
     check_prime: int | None = None,
+    q0: int | None = None,
 ) -> CountReport:
-    """count_report of the complement of the common zero locus, planned
-    before the polynomials are converted and counted from one conversion."""
-    primes, check_prime = sample_plan(ambient_dim, primes, check_prime)
-    return count_report(
-        complement_counter(polys, ambient_dim), ambient_dim, primes, check_prime
-    )
+    """count_report of the complement of the common zero locus, or with q0
+    of its fixed-q slice at q0, counted from one conversion.  The counter
+    is built on the first count, once count_report has planned, so that a
+    refused plan converts nothing and comes before any other refusal."""
+    counter = None
+
+    def complement(q: int) -> int:
+        nonlocal counter
+        if counter is None:
+            counter = complement_counter(polys, ambient_dim, fixed_q=q0 is not None)
+        return counter(q) if q0 is None else counter(q, _slice_element(q0, q))
+
+    return count_report(complement, ambient_dim, primes, check_prime, q0=q0)
 
 
 def complement_report(
@@ -395,11 +413,7 @@ def fixed_q_report(
     elements across fields relies on the slice's class being independent of
     the fixed q (verify checks it); a fit that broke that would fail its
     check field."""
-    primes, check_prime = sample_plan(edge_count, primes, check_prime, q0=q0)
-    complement = complement_counter([poly], edge_count, fixed_q=True)
-    return count_report(
-        lambda q: complement(q, _slice_element(q0, q)), edge_count, primes, check_prime
-    )
+    return _locus_report([poly], edge_count, primes, check_prime, q0)
 
 
 def fixed_q_class(poly: MPoly, edge_count: int) -> ClassPoly:

@@ -3,6 +3,7 @@ kernel against the reference counter, a plain full enumeration."""
 
 import inspect
 import itertools
+import math
 import random
 
 import pytest
@@ -401,3 +402,301 @@ def test_kernel_signature_keeps_three_positional_arguments():
     assert params["first"].default is None
     with pytest.raises(TypeError):
         _countpure.count_common_zeros([((2,), [0, 1])], 1, 3, 2)
+
+
+# -- reductions before a branch, and the closed forms summed in place ---------
+# Frobenius orbits: with every coefficient in F_p, the slices at v and v^p
+# have equal counts, so a loop takes one value per orbit, weighted by its
+# size.  Splitting off the first variable x of one polynomial L + x*H:
+# N = q*N(L) when H == 0, and q^(n-1) + (q-1)*N(H) when L == c*H.  The
+# closed forms count L + w*H summed over weighted values (w, weight).
+
+# the fields these tests draw from: the extension fields, where the orbits
+# are not trivial, and two primes
+REDUCTION_FIELDS = (4, 5, 7, 8, 9)
+COEFF = st.one_of(st.just(0), st.integers(min_value=-6, max_value=6))
+
+
+def _frobenius(F, a):
+    power = 1
+    for _ in range(F.char):
+        power = F.mul[power][a]
+    return power
+
+
+@pytest.mark.parametrize("q", FIELD_LADDER)
+def test_frobenius_orbits_partition_the_field(q):
+    F = _countpure.field(q)
+    covered = []
+    for v, size in F.orbits:
+        orbit = [v]
+        while _frobenius(F, orbit[-1]) != v:
+            orbit.append(_frobenius(F, orbit[-1]))
+        # closed under x -> x^p, of the recorded size, v its least element
+        assert len(orbit) == size and min(orbit) == v
+        covered += orbit
+    assert sorted(covered) == list(range(q))
+    assert all(size == 1 for v, size in F.orbits if v < F.char)  # F_p is fixed
+
+
+def test_orbit_counts_of_the_extension_fields():
+    assert [len(_countpure.field(q).orbits) for q in (4, 8, 9)] == [3, 4, 6]
+    assert _countpure.field(41).orbits is None  # above the tables: every element
+
+
+def _reference(polys, nvars, q, first=None):
+    """brute_force, or with first every polynomial evaluated term by term
+    at every point (first, ...), first an element of F_q."""
+    if first is None:
+        return brute_force(polys, nvars, q)
+    F = _countpure.field(q)
+    add, mul = F.add, F.mul
+    systems = []
+    for shape, coeffs in polys:
+        exponents = itertools.product(*(range(extent) for extent in shape))
+        systems.append([(c % F.char, e) for c, e in zip(coeffs, exponents) if c % F.char])
+    count = 0
+    for rest in itertools.product(range(q), repeat=nvars - 1):
+        point = (first,) + rest
+        for terms in systems:
+            total = 0
+            for c, exps in terms:
+                for v, e in zip(point, exps):
+                    for _ in range(e):
+                        c = mul[c][v]
+                total = add[total][c]
+            if total:
+                break
+        else:
+            count += 1
+    return count
+
+
+@st.composite
+def reduction_polys(draw, nvars):
+    """Extents of 1 or 2, so that the closed forms and the splits are
+    reached, and now and then one of 3, so that the branch loop is too."""
+    shape = [draw(st.integers(min_value=1, max_value=2)) for _ in range(nvars)]
+    if draw(st.booleans()):
+        shape[draw(st.integers(min_value=0, max_value=nvars - 1))] = 3
+    size = math.prod(shape)
+    return (tuple(shape), draw(st.lists(COEFF, min_size=size, max_size=size)))
+
+
+# (variables, field) pairs whose full enumeration stays within 9^4 points
+UNFIXED_SYSTEMS = [(n, q) for n in (3, 4, 5) for q in REDUCTION_FIELDS if q**n <= 9**4]
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_reduced_systems_match_brute_force(data):
+    nvars, q = data.draw(st.sampled_from(UNFIXED_SYSTEMS))
+    npolys = data.draw(st.integers(min_value=1, max_value=3))
+    polys = [data.draw(reduction_polys(nvars)) for _ in range(npolys)]
+    assert _countpure.count_common_zeros(polys, nvars, q) == brute_force(polys, nvars, q)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_reduced_systems_with_a_fixed_first_variable_match(data):
+    nvars = data.draw(st.integers(min_value=3, max_value=5))
+    q = data.draw(st.sampled_from(REDUCTION_FIELDS))
+    p = _countpure.field(q).char
+    # an element inside F_p, or, in F_4, F_8 and F_9, one outside it
+    inside = p == q or data.draw(st.booleans())
+    first = data.draw(st.integers(0, p - 1) if inside else st.integers(p, q - 1))
+    npolys = data.draw(st.integers(min_value=1, max_value=3))
+    polys = [data.draw(reduction_polys(nvars)) for _ in range(npolys)]
+    expected = _reference(polys, nvars, q, first)
+    assert _countpure.count_common_zeros(polys, nvars, q, first=first) == expected
+
+
+# x -> x^3 fixes 2 in F_9 (an element of F_3) and swaps 3 and 6
+@pytest.mark.parametrize("first", [2, 3, 6])
+def test_fixed_first_variable_in_f9(first):
+    polys = [
+        ((2, 2, 2, 3), [1, 0, 2, 0, 1, 1, 2, 1, 0, 0, 1, 2] + [0, 1, 1, 2, 0, 0, 1, 0, 2, 1, 0, 1])
+    ]
+    count = _countpure.count_common_zeros(polys, 4, 9, first=first)
+    assert count == _reference(polys, 4, 9, first)
+
+
+# one polynomial L + x*H, x its first variable, in five variables: the
+# rest has one variable of extent 3, so no closed form takes it whole
+SPLIT_REST = (2, 3, 1, 2)
+SPLIT_H = [1, 0, 2, 1, 0, 1, 1, 1, 0, 3, 1, 0]
+SPLIT_NODES = {
+    "absent": ((1,) + SPLIT_REST, SPLIT_H),
+    "H-zero": ((2,) + SPLIT_REST, SPLIT_H + [0] * 12),
+    "factor": ((2,) + SPLIT_REST, [3 * h for h in SPLIT_H] + SPLIT_H),
+    # L == 3*H but for one coefficient: no factor, so the node branches
+    "near-miss": ((2,) + SPLIT_REST, [3 * h for h in SPLIT_H[:-1]] + [1] + SPLIT_H),
+}
+
+
+def _recording_specialize(monkeypatch, nvars):
+    """Record the values at which _specialize fixes the first variable of
+    an nvars-variable polynomial."""
+    specialize, values = _countpure._specialize, []
+
+    def recording(shape, coeffs, v, F):
+        if len(shape) == nvars:
+            values.append(v)
+        return specialize(shape, coeffs, v, F)
+
+    monkeypatch.setattr(_countpure, "_specialize", recording)
+    return values
+
+
+@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("node", SPLIT_NODES)
+def test_split_node_never_specializes_its_first_variable(monkeypatch, node, q):
+    polys = [SPLIT_NODES[node]]
+    expected = brute_force(polys, 5, q)
+    values = _recording_specialize(monkeypatch, 5)
+    assert _countpure.count_common_zeros(polys, 5, q) == expected
+    if node == "near-miss":
+        assert values  # no split: the node branches on x
+    else:
+        assert values == []
+
+
+@st.composite
+def split_polys(draw, nvars):
+    """L + x*H in nvars variables, x its first: x absent, H zero, L == c*H,
+    or L one coefficient away from c*H."""
+    rest = [draw(st.integers(min_value=1, max_value=2)) for _ in range(nvars - 1)]
+    rest[draw(st.integers(min_value=0, max_value=nvars - 2))] = 3
+    size = math.prod(rest)
+    high = draw(st.lists(COEFF, min_size=size, max_size=size))
+    kind = draw(st.sampled_from(("absent", "H-zero", "factor", "near-miss")))
+    if kind == "absent":
+        return ((1, *rest), high)
+    if kind == "H-zero":
+        return ((2, *rest), high + [0] * size)
+    c = draw(st.integers(min_value=-4, max_value=4))
+    low = [c * h for h in high]
+    if kind == "near-miss":
+        low[draw(st.integers(min_value=0, max_value=size - 1))] += 1
+    return ((2, *rest), low + high)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_split_first_variable_matches_brute_force(data):
+    nvars, q = data.draw(st.sampled_from([(4, q) for q in REDUCTION_FIELDS] + [(5, 4), (5, 5)]))
+    polys = [data.draw(split_polys(nvars))]
+    assert _countpure.count_common_zeros(polys, nvars, q) == brute_force(polys, nvars, q)
+
+
+# two quadratics in three variables: no leaf takes them, so the top node
+# branches on its first variable
+BRANCHING = [((3, 3, 1), [1, 2, 0, 1, 0, 1, 1, 0, 1]), ((3, 1, 3), [0, 1, 1, 1, 0, 2, 1, 0, 0])]
+
+
+def test_integer_system_branches_once_per_frobenius_orbit(monkeypatch):
+    expected = brute_force(BRANCHING, 3, 8)
+    values = _recording_specialize(monkeypatch, 3)
+    assert _countpure.count_common_zeros(BRANCHING, 3, 8) == expected
+    assert sorted(set(values)) == [0, 1, 2, 3]  # 0, 1 and one of each 3-cycle
+
+
+def test_slice_outside_the_prime_field_branches_at_every_element(monkeypatch):
+    # fixed at x, the coefficients leave F_2, so the next variable takes all
+    # eight values; fixed at 1, they stay in F_2, and it takes four
+    values = _recording_specialize(monkeypatch, 2)
+    for first, branches in ((2, list(range(8))), (1, [0, 1, 2, 3])):
+        values.clear()
+        expected = _reference(BRANCHING, 3, 8, first)
+        assert _countpure.count_common_zeros(BRANCHING, 3, 8, first=first) == expected
+        assert sorted(set(values)) == branches
+
+
+# The three-variable form, laid out [A0, C0, B0, D0, A1, C1, B1, D1] for
+# A + B*y + C*z + D*y*z with A = A0 + A1*x, and Q = A*D - B*C = Q0 + Q1*x +
+# Q2*x^2.  Each case pins one branch; H = TRILINEAR makes the slices at
+# other values of w take other branches.
+CLOSED_FORM_BRANCHES = {
+    "D-zero": [1, 1, 0, 0, 1, 0, 1, 0],
+    "D-never-zero": [0, 1, 1, 1, 1, 0, 0, 0],
+    "D-one-root": [1, 0, 1, 0, 0, 1, 0, 1],
+    "Q-zero": [1, 1, 1, 1, 0, 0, 0, 0],  # A*D == B*C == 1
+    "Q2-zero-Q1-not": [0, 0, 0, 1, 1, 0, 0, 0],  # Q = x
+    "Q-constant": [1, 0, 0, 1, 0, 0, 0, 0],  # Q = 1
+    "all-zero": [0] * 8,
+}
+
+
+def _table_trilinear_zeros(f, F):
+    """Zeros of the three-variable form f, its coefficients elements of
+    F_q, by evaluation at every point."""
+    a0, c0, b0, d0, a1, c1, b1, d1 = f
+    add, mul = F.add, F.mul
+    count = 0
+    for x, y, z in itertools.product(range(F.size), repeat=3):
+
+        def at(k0, k1):
+            return add[k0][mul[k1][x]]
+
+        a, b, c, d = at(a0, a1), at(b0, b1), at(c0, c1), at(d0, d1)
+        count += not add[add[a][mul[b][y]]][add[mul[c][z]][mul[mul[d][y]][z]]]
+    return count
+
+
+@pytest.mark.parametrize("q", [4, 5, 8, 9])
+@pytest.mark.parametrize("case", CLOSED_FORM_BRANCHES)
+def test_trilinear_sum_matches_every_slice(case, q):
+    F = _countpure.field(q)
+    low = [c % F.char for c in CLOSED_FORM_BRANCHES[case]]
+    high = [c % F.char for c in TRILINEAR]
+    # the leaf: one value, H = 0
+    assert _countpure._trilinear_zeros(low, (0,) * 8, _countpure._LEAF, F) == (
+        _table_trilinear_zeros(low, F)
+    )
+    # each slice alone, then the sum weighted by orbits, against the
+    # four-variable count
+    for w in range(q):
+        slice_ = [F.add[l][F.mul[w][h]] for l, h in zip(low, high)]
+        assert _countpure._trilinear_zeros(low, high, [(w, 1)], F) == (
+            _table_trilinear_zeros(slice_, F)
+        )
+    polys = [((2, 2, 2, 2), low + high)]
+    assert _countpure._trilinear_zeros(low, high, F.orbits, F) == brute_force(polys, 4, q)
+
+
+# The pair form: f = A + B*z and g = C + D*z laid out [A0, B0, A1, B1] and
+# [C0, D0, C1, D1], A = A0 + A1*y and so on, and R = C*B - A*D.
+PAIR_BRANCHES = {
+    "B-zero": ([1, 0, 1, 0], [0, 1, 1, 1]),
+    "B-never-zero": ([1, 2, 0, 0], [1, 0, 1, 1]),
+    "B-one-root": ([0, 1, 1, 1], [1, 1, 0, 1]),
+    "R-zero": ([1, 1, 0, 0], [1, 1, 0, 0]),
+    "all-zero": ([0, 0, 0, 0], [0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("q", [4, 5, 8, 9])
+@pytest.mark.parametrize("case", PAIR_BRANCHES)
+def test_pair_leaf_and_sum_match_brute_force(monkeypatch, case, q):
+    f, g = PAIR_BRANCHES[case]
+    pair = [((2, 2), f), ((2, 2), g)]
+    assert _countpure.count_common_zeros(pair, 2, q) == brute_force(pair, 2, q)
+    # in three variables, g + w*f: its slice at w = -1 vanishes where g == f
+    polys = [((2, 2, 2), f + [0] * 4), ((2, 2, 2), g + f)]
+    expected = brute_force(polys, 3, q)
+    values = _recording_specialize(monkeypatch, 3)
+    assert _countpure.count_common_zeros(polys, 3, q) == expected
+    assert values == []  # summed in place, not specialized
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_three_variable_pairs_with_a_vanishing_slice(data):
+    # f = L + w*H with L == -c*H, so that the slice of f at w = c vanishes
+    q = data.draw(st.sampled_from(REDUCTION_FIELDS))
+    high = data.draw(st.lists(COEFF, min_size=4, max_size=4))
+    c = data.draw(st.integers(min_value=0, max_value=4))
+    f = ((2, 2, 2), [-c * h for h in high] + high)
+    g = data.draw(reduction_polys(3).filter(lambda p: max(p[0]) <= 2))
+    polys = [f, g] if data.draw(st.booleans()) else [g, f]
+    assert _countpure.count_common_zeros(polys, 3, q) == brute_force(polys, 3, q)

@@ -373,3 +373,54 @@ def test_too_many_variables_refused_by_a_report():
         locus_complement_class([Q, T1 * T2], 2)
     with pytest.raises(InvalidArgumentError, match="do not fit"):
         fixed_q_report(Q * T1 * T2, 2, 1)
+
+
+def test_a_report_plans_once(monkeypatch):
+    # count_report is the one planner: sample_plan runs once per report,
+    # and a fixed-q report passes its q0 through to it
+    plans = []
+    plan = pointcount.sample_plan
+
+    def counted(*args, **kwargs):
+        plans.append(kwargs.get("q0"))
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(pointcount, "sample_plan", counted)
+    triangle = tutte_delcon(polygon(3))
+    reports = [
+        (lambda: complement_class(triangle, 4), None),
+        (lambda: complement_report(triangle, 4, (2, 3, 4, 5), 7), None),
+        (lambda: locus_complement_class([triangle, Q * T1], 4), None),
+        (lambda: fixed_q_report(triangle, 2, 3), 2),
+        (lambda: fixed_q_class(triangle, 3), 2),
+        (lambda: fixed_q_report(triangle, -1, 3, (3, 4, 5), 7), -1),
+    ]
+    for run, q0 in reports:
+        plans.clear()
+        run()
+        assert plans == [q0]
+
+
+def test_potts_count_plans_twice(monkeypatch):
+    # the CLI plans once before it builds Z_G, and the report once more
+    plans = []
+    plan = pointcount.sample_plan
+
+    def counted(*args, **kwargs):
+        plans.append(args)
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(pointcount, "sample_plan", counted)
+    result = CliRunner().invoke(cli, ["count", "--family", "polygon", "--m", "2"])
+    assert result.exit_code == 0
+    assert len(plans) == 2
+
+
+@pytest.mark.parametrize("dim", range(0, 8))
+def test_integer_fit_recovers_the_class(dim):
+    # T^dim plus a lower class with coefficients of both signs, sampled at
+    # the first dim + 1 ladder fields
+    lower = ClassPoly(tuple((-1) ** i * (3 * i + 1) for i in range(dim)) or (0,))
+    cls = ClassPoly((0,) * dim + (1,)) + lower
+    samples = [(q, cls.eval_int(q - 1)) for q in pointcount.FIELD_LADDER[: dim + 1]]
+    assert pointcount._class_from_samples(samples, dim) == cls
