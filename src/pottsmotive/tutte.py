@@ -5,23 +5,23 @@ form, and the connecting/non-connecting split used by the edge-splitting
 and edge-doubling class formulas.
 
 Everything here is exact symbolic arithmetic; the subset-sum and the
-deletion-contraction routes are kept as independent implementations so each
-can serve as the oracle for the other.  They share no enumeration code: the
-subset routes walk every edge subset once (`_subsets`), while tutte_delcon
-recurses on subgraphs and never enumerates subsets.  Each route builds its
-terms in one dict and makes one polynomial at the end: the subset routes,
-the reference, through the validating MPoly(...), and tutte_delcon through
-the trusted mpoly._mpoly.  tutte_delcon works on
-packed subgraphs, a vertex count and a tuple of (bit, u, v) ints with the
-vertices relabelled in order of first appearance, pivots on the first edge,
-and memoises its subgraphs on that canonical key for the length of one
-top-level call.  Between calls it keeps nothing, except inside a `potts
-verify` run, which shares each graph's Z_G among its checks until the run
-ends (see _runmemo).  Both refuse a graph with more than
-DEFAULT_EDGE_BUDGET edges (check_edge_budget).
+deletion-contraction routes are independent, so each is the other's oracle.
+Z_G has one monomial q^k(A) t^A per edge subset A, and both routes build
+the list of k(A) in the order of product((0, 1), repeat=E) (_subset_terms).
+That order is all they share; the tests' surgery recursion and perfbench's
+union-find check it.  The subset routes walk the subsets edge by edge
+(`_subsets`), the forest routes the same walk cut at the first cycle.
+tutte_delcon never enumerates subsets: it recurses on subgraphs, joins
+lists, and memoises them on a structure-only key for one top-level call.
+It builds through the trusted mpoly._mpoly, the subset routes, the
+reference, through MPoly(...).  Between calls tutte_delcon keeps nothing,
+except inside a `potts verify` run (see _runmemo).  Every route refuses a
+graph with more than DEFAULT_EDGE_BUDGET edges (check_edge_budget).
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from . import _runmemo
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -50,64 +50,70 @@ def _edge_names(edges) -> tuple[str, ...]:
     return tuple("t" + eid for eid, _, _ in edges)
 
 
-def _subsets(vertex_count: int, edges) -> list[tuple[int, tuple]]:
-    """(k(A), indicator of A) for every subset A of `edges`: k(A) counts the
-    components of the spanning subgraph on all vertex_count vertices, and
-    the indicator is the 0/1 tuple of A over `edges`.
+def _subsets(vertex_count: int, edges, acyclic: bool = False) -> list:
+    """k(A) for every subset A of `edges`, in the order in which
+    product((0, 1), repeat=len(edges)) yields A's indicators, components
+    counted on all vertex_count vertices.
 
-    The walk is depth-first and carries the component labels along, so a
-    subset costs one relabelling instead of a fresh component count.  An
-    edge is left out before it is put in, so the subsets without and with
-    the last edge come in adjacent pairs."""
+    The walk runs edge by edge over states (k, labels).  Only the vertices
+    an edge touches get a label, a byte from 2 up (at most 40), so an edge
+    merges two labels by one bytes.replace; each untouched vertex stays a
+    component.  With `acyclic` it never adds an edge inside a component, so
+    it visits exactly the forests (a subset of a forest is one), spells A
+    in bytes 0/1 after the labels, and returns (k(A), indicator of A)."""
     check_edge_budget(len(edges))
-    out = []
+    slot: dict[int, int] = {}
+    for _, u, v in edges:
+        slot.setdefault(u, len(slot))
+        slot.setdefault(v, len(slot))
+    width = len(slot)
+    byte = [bytes((i,)) for i in range(width + 2)]
+    bit0, bit1 = (b"\0", b"\1") if acyclic else (b"", b"")
+    states = [(vertex_count, bytes(range(2, width + 2)))]
+    # i is 0 at the last edge, whose merged labels no later edge reads
+    for i, (_, u, v) in enumerate(edges, 1 - len(edges)):
+        x, y = slot[u], slot[v]
+        grown = []
+        for k, labels in states:
+            a, b = labels[x], labels[y]
+            grown.append((k, labels + bit0))
+            if a != b:
+                merged = labels.replace(byte[b], byte[a]) if i else labels
+                grown.append((k - 1, merged + bit1))
+            elif not acyclic:
+                grown.append((k, labels))
+        states = grown
+    if acyclic:
+        return [(k, tuple(labels[width:])) for k, labels in states]
+    return [k for k, _ in states]
 
-    def walk(i: int, k: int, labels: tuple, chosen: tuple) -> None:
-        if i == len(edges):
-            out.append((k, chosen))
-            return
-        walk(i + 1, k, labels, chosen + (0,))
-        _, u, v = edges[i]
-        a, b = labels[u], labels[v]
-        if a != b:
-            labels = tuple(a if x == b else x for x in labels)
-            k -= 1
-        walk(i + 1, k, labels, chosen + (1,))
 
-    walk(0, vertex_count, tuple(range(vertex_count)), ())
-    return out
+def _subset_terms(ks: list[int], width: int) -> dict[tuple, int]:
+    """The terms q^k(A) t^A of a list of k(A) in subset order: the one
+    thing the subset and the deletion-contraction routes share."""
+    return {(k,) + t: 1 for k, t in zip(ks, product((0, 1), repeat=width))}
 
 
 def tutte_poly(g: MultiGraph) -> MPoly:
     """Z_G(q, t) as the sum over edge subsets A of q^k(A) * prod_{e in A} t_e,
     components counted on the full vertex set."""
     edges = _ordered_edges(g.edges)
-    terms = {(k,) + chosen: 1 for k, chosen in _subsets(g.vertex_count, edges)}
+    terms = _subset_terms(_subsets(g.vertex_count, edges), len(edges))
     return MPoly(("q",) + _edge_names(edges), terms)
 
 
-def _indicators(width: int) -> list[tuple]:
-    """The 0/1 tuple of every mask below 2^width (bit i at position i),
-    indexed by the mask."""
-    table = [()]
-    for _ in range(width):
-        table = [t + (0,) for t in table] + [t + (1,) for t in table]
-    return table
-
-
 def _canonical(edges, gone: int = -1, keep: int = -1) -> tuple:
-    """The packed edges with vertex `gone` merged into `keep`, relabelled
+    """The edges (u, v) with vertex `gone` merged into `keep`, relabelled
     0, 1, ... in order of first appearance.  Two subgraphs that differ only
     by their vertex labels then have equal tuples."""
     label: dict[int, int] = {}
     out = []
-    for b, u, v in edges:
+    for u, v in edges:
         if u == gone:
             u = keep
         if v == gone:
             v = keep
-        u = label.setdefault(u, len(label))
-        out.append((b, u, label.setdefault(v, len(label))))
+        out.append((label.setdefault(u, len(label)), label.setdefault(v, len(label))))
     return tuple(out)
 
 
@@ -131,51 +137,38 @@ def tutte_delcon(g: MultiGraph) -> MPoly:
 
 
 def _delcon(g: MultiGraph) -> MPoly:
-    """Z_G by deletion-contraction, built afresh.
+    """Z_G by deletion-contraction, built afresh, as the list of k(A) in
+    subset order (_subsets' order).
 
-    A subgraph is (n, edges): n vertices, and its edges as (bit, u, v) ints
-    in g.edges order, bit the edge's mask bit (its place in variable order)
-    and the vertices relabelled in order of first appearance.  The recursion
-    maps each subgraph to its terms {k << E | edge mask: 1} and memoises on
-    (n, edges) until this call returns, so subgraphs that differ only by
-    vertex labels share one entry.  Deletion-contraction holds for every
-    edge of the multivariate Z, so the pivot is always the first edge; a
-    loop's deletion and contraction are the same subgraph."""
+    A subgraph is (n, edges): n vertices and its edges (u, v) in variable
+    order, the vertices relabelled in order of first appearance.  The pivot
+    is the first edge, the most significant digit, so a subgraph's list is
+    its deletion's followed by its contraction's (a loop's: its deletion's
+    twice).  The memo is keyed on (n, edges) alone, so subgraphs that differ
+    only by labels or variables share one entry, and lives until this call
+    returns."""
     check_edge_budget(g.edge_count)
     edges = _ordered_edges(g.edges)
-    width = len(edges)
-    bit = {eid: 1 << i for i, (eid, _, _) in enumerate(edges)}
-    memo: dict[tuple, dict[int, int]] = {}
+    memo: dict[tuple, list[int]] = {}
 
-    def z(n: int, packed: tuple) -> dict[int, int]:
+    def z(n: int, packed: tuple) -> list[int]:
         key = (n, packed)
         out = memo.get(key)
         if out is not None:
             return out
         if not packed:
-            out = {n << width: 1}
+            out = [n]
         else:
-            (b, u, v), rest = packed[0], packed[1:]
+            (u, v), rest = packed[0], packed[1:]
             deleted = z(n, _canonical(rest))
             # a loop contracts to its deletion
-            contracted = deleted if u == v else z(n - 1, _canonical(rest, v, u))
-            out = dict(deleted)
-            # only the contracted side holds the pivot, so no key is shared
-            out.update({m | b: c for m, c in contracted.items()})
+            out = deleted + (deleted if u == v else z(n - 1, _canonical(rest, v, u)))
         memo[key] = out
         return out
 
-    top = z(g.vertex_count, _canonical((bit[eid], u, v) for eid, u, v in g.edges))
-    memo.clear()  # free the subgraphs' terms before the tuples are built
-    # a mask's 0/1 tuple is the join of its two halves' tuples, looked up
-    half = width // 2
-    low, high = _indicators(half), _indicators(width - half)
-    low_mask = (1 << half) - 1
-    high_mask = (1 << width - half) - 1
-    terms = {
-        (key >> width,) + low[key & low_mask] + high[key >> half & high_mask]: c
-        for key, c in top.items()
-    }
+    ks = z(g.vertex_count, _canonical((u, v) for _, u, v in edges))
+    memo.clear()  # free the subgraphs' lists before the terms are built
+    terms = _subset_terms(ks, len(edges))
     names = ("q",) + _edge_names(edges)
     # every edge lies in some subset and, given a vertex, every subset has
     # k >= 1, so every variable occurs; with no vertex q does not occur
@@ -191,11 +184,7 @@ def _forests(g: MultiGraph):
     """The edges in variable order, and (k(A), indicator of A) for every
     acyclic edge subset A, viewed on the full vertex set."""
     edges = _ordered_edges(g.edges)
-    nv = g.vertex_count
-    forests = [
-        (k, chosen) for k, chosen in _subsets(nv, edges) if k + sum(chosen) == nv
-    ]
-    return edges, forests
+    return edges, _subsets(g.vertex_count, edges, acyclic=True)
 
 
 def forest_poly(g: MultiGraph) -> MPoly:
@@ -268,14 +257,15 @@ def connecting_split(g: MultiGraph, edge_id: str) -> tuple[MPoly, MPoly]:
     if u == v:
         raise InvalidArgumentError("the connecting split needs a non-loop edge")
     rest = _ordered_edges(e for e in g.edges if e[0] != edge_id)
-    subsets = _subsets(g.vertex_count, rest + ((edge_id, u, v),))
+    ks = _subsets(g.vertex_count, rest + ((edge_id, u, v),))
     connecting: dict = {}
     non_connecting: dict = {}
     # each A in E - {e} comes right before A + {e}; adding e leaves the
     # component count unchanged exactly when A already connects u and v
-    for (k, chosen), (k_with, _) in zip(subsets[::2], subsets[1::2]):
+    pairs = zip(ks[::2], ks[1::2], product((0, 1), repeat=len(rest)))
+    for k, k_with, chosen in pairs:
         side = connecting if k_with == k else non_connecting
-        side[(k,) + chosen[:-1]] = 1
+        side[(k,) + chosen] = 1
     names = ("q",) + _edge_names(rest)
     return MPoly(names, connecting), MPoly(names, non_connecting)
 

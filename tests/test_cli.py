@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -28,6 +29,16 @@ def test_z_which_selector(runner):
     )
     assert result.exit_code == 0
     assert result.output.strip() == "t1*t2 + t1*t3 + t2*t3"
+
+
+def test_z_14_edges_prints_the_pinned_bytes(runner):
+    # 2^14 = 16,384 terms, far past the few-edge outputs pinned above
+    result = runner.invoke(
+        cli, ["z", "--family", "chain-polygon", "--m", "3", "--k", "1", "--N", "3"]
+    )
+    assert result.exit_code == 0
+    digest = hashlib.sha1(result.stdout_bytes).hexdigest()
+    assert digest == "f877ef14db33f9560013e8093e12a24abfe344a6"
 
 
 def test_z_from_file(runner, tmp_path):

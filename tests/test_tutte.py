@@ -83,9 +83,21 @@ def test_torus_identity(run_checks):
 
 
 def test_budget():
-    # one edge over the symbolic budget: every route refuses before building
+    # one edge over the symbolic budget: every route refuses before building,
+    # the forest routes too, although their pruned walk of banana(21) would
+    # visit only 22 subsets
     g = banana(21)
-    for route in (tutte_poly, tutte_delcon, forest_poly):
+    routes = (
+        tutte_poly,
+        tutte_delcon,
+        forest_poly,
+        forest_complement_poly,
+        forest_complement_from_dual,
+        leading_part_by_forests,
+        lambda g: connecting_split(g, "1"),
+        lambda g: split_residual_poly(g, "1"),
+    )
+    for route in routes:
         with pytest.raises(ResourceLimitError, match="symbolic budget of 20"):
             route(g)
 
@@ -211,6 +223,45 @@ def test_routes_agree_on_random_multigraphs(g, data):
     links = [eid for eid, u, v in g.edges if u != v]
     if links:
         eid = data.draw(st.sampled_from(links))
+        zc, zn = connecting_split(g, eid)
+        assert tutte_delcon(g.delete_edge(eid)) == zc + zn
+        assert Q * tutte_delcon(g.contract_edge(eid)) == Q * zc + zn
+
+
+def _forest_terms_of_z(g):
+    # the spanning forests are the subsets A with k(A) + |A| = V
+    z = tutte_poly(g)
+    assert z.variables[0] == "q"
+    forests = {e: c for e, c in z.terms.items() if e[0] + sum(e[1:]) == g.vertex_count}
+    return MPoly(z.variables, forests)
+
+
+@given(multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_pruned_forest_walk_matches_the_full_walk(g):
+    assert leading_part_by_forests(g) == _forest_terms_of_z(g)
+
+
+def test_pruned_forest_walk_matches_the_full_walk_at_14_edges():
+    g = chain_bananas(FamilySpec(1, 2, 4))
+    assert g.edge_count == 14
+    assert leading_part_by_forests(g) == _forest_terms_of_z(g)
+
+
+def test_vertex_labels_beyond_a_byte():
+    # vertices 0, 5 and 299 carry a triangle with a parallel edge, 150 a loop
+    # that no other edge touches; the other 296 vertices are isolated
+    g = MultiGraph(
+        300,
+        (("1", 0, 5), ("2", 5, 299), ("3", 299, 0), ("4", 0, 299), ("5", 150, 150)),
+    )
+    z = tutte_poly(g)
+    assert z == tutte_delcon(g) == _delcon_last_edge(g)
+    assert min(e[0] for e in z.terms) == 298
+    assert forest_poly(g) == forest_poly_from_tutte(g)
+    assert forest_complement_poly(g) == forest_complement_from_dual(g)
+    assert leading_part_by_forests(g) == leading_part(g)
+    for eid in ("1", "2", "3", "4"):
         zc, zn = connecting_split(g, eid)
         assert tutte_delcon(g.delete_edge(eid)) == zc + zn
         assert Q * tutte_delcon(g.contract_edge(eid)) == Q * zc + zn
