@@ -67,7 +67,7 @@ scalar-normalised subsystems (from 2 % faster to 20 % slower).
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Sequence
 
 # F_{p^k} = F_p[x]/(x^k + m(x)): p and the coefficients of m, lowest first
@@ -188,7 +188,13 @@ class _Memo(dict):
         return value
 
 
+@lru_cache(maxsize=8)
 def _modular_field(p):
+    """F_p for a prime p above TABLE_MAX, kept across counts.  Each kept
+    field holds only the entries its counts have read, and a run uses one
+    check prime or a few, so a few fields suffice; the bound stops a stream
+    of primes up to 2^31 from keeping one each."""
+
     def roots(b, c):  # Euler's criterion on the discriminant; p is odd
         disc = (b * b - 4 * c) % p
         if not disc:

@@ -10,13 +10,17 @@ puts an int, never a polynomial, in for one variable.
 
 MPoly(...) validates its input: it copies the exponent tuples, converts the
 coefficients with int(), and drops zero terms and unused variables.  A
-result known to be valid skips that through the trusted _mpoly, whose
-caller guarantees that the variables are in canonical order and each occurs
-in some term, every key is a tuple of that length, and every coefficient is
-a nonzero int.  Its callers: negation, multiplication by a nonzero int, the
-product of two nonzero polynomials (over Z it uses every variable of both),
-a sum in which no coefficient cancels, and tutte_delcon on a graph with a
-vertex.  What can drop a variable (a cancelling sum, substitute,
+result known to be valid skips that through one of two trusted
+constructors, whose callers guarantee that the variables are in canonical
+order and each occurs.  _mpoly takes terms whose keys are tuples of that
+length and whose coefficients are nonzero ints: negation, multiplication by
+a nonzero int, the product of two nonzero polynomials (over Z it uses every
+variable of both) and a sum in which no coefficient cancels.  _subset_poly
+takes Z_G from tutte_delcon on a graph with a vertex as its k-list, k(A)
+for each edge subset A in subset order.  Its terms slot stays unset, and
+__getattr__ builds it (_subset_terms) on the first read and keeps it; only
+render, ==, bool, is_zero and pointcount._dense_system read the list (_ks)
+instead.  What can drop a variable (a cancelling sum, substitute,
 lowest_homogeneous_part, divide_exact_by_q_power) stays on MPoly(...).
 """
 
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import product
+from operator import add, itemgetter
 from typing import Mapping, Union
 
 from .errors import ExactDivisionError, InvalidArgumentError
@@ -56,19 +62,20 @@ def _is_canonical(variables: tuple) -> bool:
 class MPoly:
     """Immutable exact polynomial in named commuting variables."""
 
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "terms", "_hash", "_ks")
 
     def __init__(self, variables=(), terms: Mapping[tuple, int] | None = None):
         variables = tuple(variables)
-        if len(set(variables)) != len(variables):
+        width = len(variables)
+        if len(set(variables)) != width:
             raise InvalidArgumentError(f"duplicate variable names in {variables!r}")
         raw = {tuple(e): int(c) for e, c in (terms or {}).items() if c}
-        for exps in raw:
-            if len(exps) != len(variables):
-                raise InvalidArgumentError(
-                    f"exponent tuple {exps!r} does not match variables {variables!r}"
-                )
-        used = [i for i in range(len(variables)) if any(e[i] for e in raw)]
+        if set(map(len, raw)) - {width}:
+            bad = next(e for e in raw if len(e) != width)
+            raise InvalidArgumentError(
+                f"exponent tuple {bad!r} does not match variables {variables!r}"
+            )
+        used = [i for i in range(width) if any(map(itemgetter(i), raw))]
         # re-key only when a variable is unused or the order is not canonical
         if len(used) < len(variables) or not _is_canonical(variables):
             order = sorted(used, key=lambda i: var_sort_key(variables[i]))
@@ -77,9 +84,18 @@ class MPoly:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", raw)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_ks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the terms of a k-list poly
+        if name != "terms" or self._ks is None:
+            raise AttributeError(name)
+        terms = _subset_terms(self._ks, len(self.variables) - 1)
+        object.__setattr__(self, "terms", terms)
+        return terms
 
     # -- constructors ------------------------------------------------------
 
@@ -103,19 +119,17 @@ class MPoly:
         merged = tuple(
             sorted(set(self.variables) | set(other.variables), key=var_sort_key)
         )
-        pos = {n: i for i, n in enumerate(merged)}
 
         def remap(poly):
             if poly.variables == merged:
                 return poly.terms
-            out = {}
-            idx = [pos[n] for n in poly.variables]
-            for exps, c in poly.terms.items():
-                e = [0] * len(merged)
-                for i, x in zip(idx, exps):
-                    e[i] = x
-                out[tuple(e)] = c
-            return out
+            if not poly.variables:
+                return {(0,) * len(merged): c for c in poly.terms.values()}
+            # merged has two or more variables, each of which reads its
+            # exponent or the 0 appended
+            pos = {n: i for i, n in enumerate(poly.variables)}
+            pick = itemgetter(*(pos.get(n, len(pos)) for n in merged))
+            return {pick(e + (0,)): c for e, c in poly.terms.items()}
 
         return merged, remap(self), remap(other)
 
@@ -164,10 +178,12 @@ class MPoly:
         if not self.terms or not other.terms:
             return MPoly.zero()
         names, a, b = self._aligned(other)
+        if len(a) > len(b):
+            a, b = b, a
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 out[e] = out.get(e, 0) + ca * cb
         # a product of nonzero polynomials over Z uses every variable of both
         return _mpoly(names, {e: c for e, c in out.items() if c})
@@ -191,7 +207,11 @@ class MPoly:
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        if self.variables != other.variables:
+            return False
+        if self._ks is not None and other._ks is not None:
+            return self._ks == other._ks
+        return self.terms == other.terms
 
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")
@@ -201,11 +221,11 @@ class MPoly:
         return h
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return self._ks is not None or bool(self.terms)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return self._ks is None and not self.terms
 
     # -- queries -----------------------------------------------------------
 
@@ -241,9 +261,11 @@ class MPoly:
             raise InvalidArgumentError(
                 "the zero polynomial has no lowest homogeneous part"
             )
-        low = min(sum(e) for e in self.terms)
+        degrees = list(map(sum, self.terms))
+        low = min(degrees)
         return MPoly(
-            self.variables, {e: c for e, c in self.terms.items() if sum(e) == low}
+            self.variables,
+            {e: c for (e, c), d in zip(self.terms.items(), degrees) if d == low},
         )
 
     def divide_exact_by_q_power(self, k: int) -> "MPoly":
@@ -271,6 +293,8 @@ class MPoly:
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def render(self) -> str:
+        if self._ks is not None:
+            return _render_subsets(self.variables, self._ks)
         if not self.terms:
             return "0"
         # one string per term, joined once: appending to one string is
@@ -311,7 +335,59 @@ def _mpoly(variables: tuple, terms: dict) -> MPoly:
     object.__setattr__(p, "variables", variables)
     object.__setattr__(p, "terms", terms)
     object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_ks", None)
     return p
+
+
+def _subset_terms(ks: list[int], width: int) -> dict[tuple, int]:
+    """The terms q^k(A) t^A of a list of k(A) in subset order, the order of
+    product((0, 1), repeat=width): the one thing the subset and the
+    deletion-contraction routes share."""
+    return {(k,) + t: 1 for k, t in zip(ks, product((0, 1), repeat=width))}
+
+
+def _subset_poly(variables: tuple, ks: list[int]) -> MPoly:
+    """The MPoly sum of q^k(A) t^A over the subsets A of the edge variables
+    variables[1:], given as ks, the list of k(A) in subset order.  Trusted as
+    _mpoly is: the caller guarantees canonical variables with "q" first and
+    every k >= 1, so every variable occurs.  terms is built on first read."""
+    p = object.__new__(MPoly)
+    object.__setattr__(p, "variables", variables)
+    object.__setattr__(p, "_hash", None)
+    object.__setattr__(p, "_ks", ks)
+    return p
+
+
+def _render_subsets(variables: tuple, ks: list[int]) -> str:
+    """render() of a k-list poly.  A subset A is the binary number whose
+    high bit is the first edge; one integer ((k + |A|)(K + 1) + k) << E | A
+    per subset sorts as (total degree, exponents) does, and each term is the
+    q power and two table lookups, one per half of the edges."""
+    edges = len(variables) - 1
+    top = max(ks) + 1
+    keys = [((k + a.bit_count()) * top + k) << edges | a for a, k in enumerate(ks)]
+    keys.sort(reverse=True)
+    q_text = ["", "q"] + [f"q^{k}" for k in range(2, top)]
+    low_width = edges // 2
+    split = len(variables) - low_width
+    high, low = _factor_table(variables[1:split]), _factor_table(variables[split:])
+    mask = (1 << low_width) - 1
+    subset = (1 << edges) - 1
+    return " + ".join(
+        [
+            q_text[(x >> edges) % top] + high[(x & subset) >> low_width] + low[x & mask]
+            for x in keys
+        ]
+    )
+
+
+def _factor_table(names: tuple) -> list[str]:
+    """The text "*t1*t2..." of each subset of names, indexed by the subset
+    as a binary number whose high bit is the first name."""
+    table = [""]
+    for name in names:
+        table = [s + t for s in table for t in ("", "*" + name)]
+    return table
 
 
 Q = MPoly.var("q")

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence
 
 from . import _countpure, _runmemo
@@ -82,29 +83,38 @@ def _check_budget(q: int, ambient_dim: int) -> None:
 
 def _dense_system(polys: Sequence[MPoly]):
     """Convert polynomials to the kernel's dense format over the union of
-    their variables in canonical order (q outermost)."""
+    their variables in canonical order (q outermost).  A k-list poly
+    (mpoly._subset_poly) over all of them is read from its list: q^k t^A,
+    A a binary number with the first edge as its high bit, sits at
+    k * 2^E + A of an array of shape (K + 1, 2, ..., 2)."""
     names = sorted({v for p in polys for v in p.variables}, key=var_sort_key)
     pos = {n: i for i, n in enumerate(names)}
+    whole = tuple(names)
     dense = []
     for p in polys:
+        ks = p._ks
+        if ks is not None and p.variables == whole:
+            edges = len(whole) - 1
+            shape = (max(ks) + 1,) + (2,) * edges
+            coeffs = [0] * (shape[0] << edges)
+            for a, k in enumerate(ks):
+                coeffs[k << edges | a] = 1
+            dense.append((shape, coeffs))
+            continue
+        terms = p.terms
         degs = [0] * len(names)
-        idx = [pos[n] for n in p.variables]
-        for exps in p.terms:
-            for i, e in zip(idx, exps):
-                if e > degs[i]:
-                    degs[i] = e
+        for col, n in enumerate(p.variables):
+            degs[pos[n]] = max(map(itemgetter(col), terms), default=0)
         shape = tuple(d + 1 for d in degs)
         strides = [0] * len(names)
         acc = 1
         for i in range(len(names) - 1, -1, -1):
             strides[i] = acc
             acc *= shape[i]
+        own = [strides[pos[n]] for n in p.variables]
         coeffs = [0] * acc
-        for exps, c in p.terms.items():
-            flat = 0
-            for i, e in zip(idx, exps):
-                flat += e * strides[i]
-            coeffs[flat] = c
+        for exps, c in terms.items():
+            coeffs[sum(map(mul, exps, own))] = c
         dense.append((shape, coeffs))
     return names, dense
 

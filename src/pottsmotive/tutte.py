@@ -7,16 +7,17 @@ and edge-doubling class formulas.
 Everything here is exact symbolic arithmetic; the subset-sum and the
 deletion-contraction routes are independent, so each is the other's oracle.
 Z_G has one monomial q^k(A) t^A per edge subset A, and both routes build
-the list of k(A) in the order of product((0, 1), repeat=E) (_subset_terms).
-That order is all they share; the tests' surgery recursion and perfbench's
-union-find check it.  The subset routes walk the subsets edge by edge
-(`_subsets`), the forest routes the same walk cut at the first cycle.
-tutte_delcon never enumerates subsets: it recurses on subgraphs, joins
-lists, and memoises them on a structure-only key for one top-level call.
-It builds through the trusted mpoly._mpoly, the subset routes, the
-reference, through MPoly(...).  Between calls tutte_delcon keeps nothing,
-except inside a `potts verify` run (see _runmemo).  Every route refuses a
-graph with more than DEFAULT_EDGE_BUDGET edges (check_edge_budget).
+the list of k(A) in the order of product((0, 1), repeat=E) (_subset_terms,
+in mpoly).  That order is all they share; the tests' surgery recursion and
+perfbench's union-find check it.  The subset routes walk the subsets edge
+by edge (`_subsets`), the forest routes the same walk cut at the first
+cycle.  tutte_delcon never enumerates subsets: it recurses on subgraphs,
+joins lists, and memoises them on a structure-only key for one top-level
+call.  Its Z_G leaves as that k-list (mpoly._subset_poly), whose terms are
+built on first read; the subset routes, the reference, build through
+MPoly(...).  Between calls tutte_delcon keeps nothing, except inside a
+`potts verify` run (see _runmemo).  Every route refuses a graph with more
+than DEFAULT_EDGE_BUDGET edges (check_edge_budget).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import product
 
 from . import _runmemo
 from .errors import InvalidArgumentError, ResourceLimitError
-from .mpoly import MPoly, Q, _mpoly, var_sort_key
+from .mpoly import MPoly, Q, _subset_poly, _subset_terms, var_sort_key
 from .multigraph import MultiGraph
 
 DEFAULT_EDGE_BUDGET = 20
@@ -88,12 +89,6 @@ def _subsets(vertex_count: int, edges, acyclic: bool = False) -> list:
     return [k for k, _ in states]
 
 
-def _subset_terms(ks: list[int], width: int) -> dict[tuple, int]:
-    """The terms q^k(A) t^A of a list of k(A) in subset order: the one
-    thing the subset and the deletion-contraction routes share."""
-    return {(k,) + t: 1 for k, t in zip(ks, product((0, 1), repeat=width))}
-
-
 def tutte_poly(g: MultiGraph) -> MPoly:
     """Z_G(q, t) as the sum over edge subsets A of q^k(A) * prod_{e in A} t_e,
     components counted on the full vertex set."""
@@ -146,7 +141,7 @@ def _delcon(g: MultiGraph) -> MPoly:
     its deletion's followed by its contraction's (a loop's: its deletion's
     twice).  The memo is keyed on (n, edges) alone, so subgraphs that differ
     only by labels or variables share one entry, and lives until this call
-    returns."""
+    returns.  Z_G leaves as the k-list itself (mpoly._subset_poly)."""
     check_edge_budget(g.edge_count)
     edges = _ordered_edges(g.edges)
     memo: dict[tuple, list[int]] = {}
@@ -167,12 +162,13 @@ def _delcon(g: MultiGraph) -> MPoly:
         return out
 
     ks = z(g.vertex_count, _canonical((u, v) for _, u, v in edges))
-    memo.clear()  # free the subgraphs' lists before the terms are built
-    terms = _subset_terms(ks, len(edges))
+    memo.clear()  # z's closure keeps the memo alive until a collection
     names = ("q",) + _edge_names(edges)
-    # every edge lies in some subset and, given a vertex, every subset has
-    # k >= 1, so every variable occurs; with no vertex q does not occur
-    return _mpoly(names, terms) if g.vertex_count else MPoly(names, terms)
+    # given a vertex, every subset has k >= 1, so every variable occurs;
+    # with no vertex q does not occur
+    if g.vertex_count:
+        return _subset_poly(names, ks)
+    return MPoly(names, _subset_terms(ks, len(edges)))
 
 
 def normalized_tutte(g: MultiGraph) -> MPoly:

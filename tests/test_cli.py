@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pottsmotive
 from pottsmotive.cli import WHICH, cli
 
 
@@ -39,6 +44,21 @@ def test_z_14_edges_prints_the_pinned_bytes(runner):
     assert result.exit_code == 0
     digest = hashlib.sha1(result.stdout_bytes).hexdigest()
     assert digest == "f877ef14db33f9560013e8093e12a24abfe344a6"
+
+
+def test_z_20_edges_prints_the_pinned_bytes():
+    # 2^20 terms, at the symbolic budget; in a child process, so that its
+    # peak memory leaves with it
+    src = str(Path(pottsmotive.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run(
+        [sys.executable, "-m", "pottsmotive.cli", "z", "--family", "polygon", "--m", "19"],
+        env=env,
+        capture_output=True,
+        check=True,
+    ).stdout
+    assert hashlib.sha1(out).hexdigest() == "6da402505deaef55380c6fb7307b0a8457002793"
 
 
 def test_z_from_file(runner, tmp_path):

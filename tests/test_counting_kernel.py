@@ -107,9 +107,25 @@ def test_modular_field_root_count():
         assert F.roots[b][c] == roots
 
 
+def test_prime_fields_above_the_tables_are_kept_across_counts():
+    _countpure._modular_field.cache_clear()
+    dense = [((3, 2, 2), [0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1])]
+    for p in (41, 43):
+        first = _countpure.count_common_zeros(dense, 3, p)
+        assert first == _countpure.count_common_zeros(dense, 3, p)
+        assert first == brute_force(dense, 3, p)
+    assert _countpure.field(41) is _countpure.field(41)
+    info = _countpure._modular_field.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    # the bound holds however many primes come through
+    for p in (47, 53, 59, 61, 67, 71, 73, 79, 83):
+        _countpure.field(p)
+    assert _countpure._modular_field.cache_info().currsize == 8
+
 
 def test_large_prime_field_fills_only_the_entries_read():
     p = 2**31 - 1  # p = 3 mod 4, so -1 and every -s^2 are non-squares
+    _countpure._modular_field.cache_clear()  # a field no earlier test has read
     F = _countpure.field(p)
     entries = [(0, 0), (1, p - 1), (12345, 67890), (p - 2, p - 3), (2**30, 2**30 + 7)]
     for a, b in entries:

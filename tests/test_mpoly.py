@@ -1,4 +1,5 @@
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pottsmotive.errors import ExactDivisionError, InvalidArgumentError
-from pottsmotive.mpoly import MPoly, Q, edge_var
+from pottsmotive.mpoly import MPoly, Q, _subset_poly, edge_var
 
 T1 = edge_var("1")
 T2 = edge_var("2")
@@ -89,6 +90,24 @@ def test_construction_prunes_and_validates():
         MPoly(("q", "q"), {(1, 0): 1})
     with pytest.raises(InvalidArgumentError):
         MPoly(("q", "t1"), {(1,): 1})
+
+
+def test_validating_constructor_keeps_its_checks():
+    # the first bad tuple in dict order is the one named
+    with pytest.raises(
+        InvalidArgumentError,
+        match=re.escape("exponent tuple (2,) does not match variables ('q', 't1')"),
+    ):
+        MPoly(("q", "t1"), {(1, 0): 1, (2,): 3, (1, 1, 1): 2})
+    with pytest.raises(
+        InvalidArgumentError, match=re.escape("duplicate variable names in ('q', 'q')")
+    ):
+        MPoly(("q", "q"), {(1, 0): 1})
+    p = MPoly(["t2", "q", "t1"], {(1, 0, 0): True, (0, 0, 1): 2.0, (1, 0, 1): 0})
+    assert p.variables == ("t1", "t2") and p.terms == {(0, 1): 1, (1, 0): 2}
+    assert all(type(c) is int for c in p.terms.values())
+    assert MPoly(("q", "t1"), {(0, 0): 5}).variables == ()
+    assert MPoly(("q", "t1"), {}).variables == ()
 
 
 def test_variable_order_is_total():
@@ -213,6 +232,36 @@ def test_ring_results_are_already_valid(pair, k):
     assert a * b - b * a == 0
 
 
+@st.composite
+def subset_polys(draw):
+    """k-list polys over up to 4 edge variables, with k from 1 to 4."""
+    names = draw(st.lists(st.sampled_from(VARIABLES[1:]), unique=True))
+    names = ("q",) + tuple(n for n in VARIABLES[1:] if n in names)
+    size = 2 ** (len(names) - 1)
+    ks = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    return _subset_poly(names, ks)
+
+
+@given(subset_polys(), st.data(), term_dicts(), st.integers(min_value=-3, max_value=3))
+@settings(max_examples=300, deadline=None)
+def test_subset_polys_are_already_valid(p, data, terms, k):
+    a = MPoly(VARIABLES, terms)
+    rebuilt = MPoly(p.variables, dict(p.terms))
+    assert_valid(p)
+    assert p == rebuilt and rebuilt == p and hash(p) == hash(rebuilt)
+    assert p and rebuilt and not p.is_zero
+    assert bool(a) == (not a.is_zero) == bool(a.terms)
+    # two k-lists over the same variables compare as their terms do
+    size = len(p._ks)
+    other = _subset_poly(
+        p.variables, data.draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    )
+    assert (p == other) == (rebuilt == MPoly(p.variables, dict(other.terms)))
+    for r in (p + a, a + p, p - a, -p, p * a, a * p, k * p, p + k, p * p):
+        assert_valid(r)
+    assert p * a == rebuilt * a and p * p == rebuilt * rebuilt
+
+
 def _render_by_appending(p):
     # the printer that appended each term to one string, kept as the
     # reference for the bytes of render()
@@ -247,3 +296,10 @@ def test_render_matches_the_appending_printer(terms, big):
     p = MPoly(VARIABLES, terms)
     for r in (p, -p, p + big, p * big):
         assert r.render() == _render_by_appending(r)
+
+
+@given(subset_polys())
+@settings(max_examples=300, deadline=None)
+def test_subset_render_matches_the_appending_printer(p):
+    # render() of a k-list poly reads the list, the reference its terms
+    assert p.render() == _render_by_appending(p)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pottsmotive import tutte
+from pottsmotive import pointcount, tutte
 from pottsmotive.errors import InvalidArgumentError, ResourceLimitError
 from pottsmotive.mpoly import MPoly, Q, edge_var
 from pottsmotive.multigraph import (
@@ -265,6 +265,47 @@ def test_vertex_labels_beyond_a_byte():
         zc, zn = connecting_split(g, eid)
         assert tutte_delcon(g.delete_edge(eid)) == zc + zn
         assert Q * tutte_delcon(g.contract_edge(eid)) == Q * zc + zn
+
+
+def _assert_subset_poly_agrees(g):
+    # z is read before its terms are built; r is a validated rebuild from
+    # the terms of a second, separately built Z_G
+    z, w = tutte_delcon(g), tutte_delcon(g)
+    assert z._ks is not None
+    r = MPoly(w.variables, dict(w.terms))
+    assert z.render() == r.render()
+    assert z and not z.is_zero
+    assert pointcount._dense_system([z]) == pointcount._dense_system([r])
+    with pytest.raises(AttributeError):
+        object.__getattribute__(z, "terms")  # none of the above built them
+    assert z == w and z == r and r == z and hash(z) == hash(r)
+    assert z.substitute("q", 0) == r.substitute("q", 0)
+    links = [eid for eid, u, v in g.edges if u != v]
+    for eid in links[:2]:
+        pair = [tutte_delcon(g.delete_edge(eid)), tutte_delcon(g.contract_edge(eid))]
+        rebuilt = [MPoly(p.variables, dict(p.terms)) for p in pair]
+        assert pointcount._dense_system(pair) == pointcount._dense_system(rebuilt)
+        assert (pair[0] == pair[1]) == (rebuilt[0] == rebuilt[1])
+
+
+@given(multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_subset_poly_agrees_with_its_terms(g):
+    _assert_subset_poly_agrees(g)
+
+
+def test_subset_poly_agrees_with_its_terms_beyond_a_byte():
+    g = MultiGraph(
+        300,
+        (("1", 0, 5), ("2", 5, 299), ("3", 299, 0), ("4", 0, 299), ("5", 150, 150)),
+    )
+    _assert_subset_poly_agrees(g)
+
+
+def test_delcon_without_a_vertex_is_unpacked():
+    g = MultiGraph(0, ())
+    z = tutte_delcon(g)
+    assert z._ks is None and z == tutte_poly(g) == MPoly.const(1)
 
 
 def test_delcon_memo_does_not_leak_between_calls():
