@@ -2,13 +2,22 @@
 
 Counts the common zeros of a system of integer polynomials over a finite
 field F_q by specializing one variable at a time, outermost first.  A
-polynomial is dense: a pair (shape, coeffs) where shape[i] is 1 + the degree
-in variable i and coeffs is the flat row-major coefficient list (last
-variable fastest, so flat index = e0*prod(shape[1:]) + ...).  Given first,
-an element of F_q, count_common_zeros fixes the first variable there and
-counts the others; a fixed-q slice is counted so, from the system of Z_G
-with q first, at elements such as the generator x of F_4 and F_8 that no
-integer reaches.
+polynomial is a pair (shape, data), shape[i] being 1 + its degree in
+variable i, in one of two forms, told apart by the length of data:
+  - dense: data is the flat row-major coefficient list, of length
+    prod(shape) (last variable fastest, so flat index =
+    e0*prod(shape[1:]) + ...);
+  - exponent columns, shape[0] >= 2: data has length prod(shape[1:]), one
+    entry per monomial m of the other variables in the same order, and is
+    the exponent of the first variable in the one term x0^data[j] * m with
+    coefficient 1 in column j.  Z_G comes so, its k-list with q first.
+The top level fixes the first variable of exponent columns at v through a
+table of the K + 1 powers of v, with no reduction and no Horner step, so a
+system that has any is split on its first variable there; every slice below
+is dense.  Given first, an element of F_q, count_common_zeros fixes the
+first variable there and counts the others; a fixed-q slice is counted so,
+from the system of Z_G with q first, at elements such as the generator x of
+F_4 and F_8 that no integer reaches.
 
 The supported fields are F_p for a prime p and F_4, F_8 and F_9.  An element
 of F_q is an int in range(q) whose base-p digits are its coefficients in
@@ -62,12 +71,16 @@ in _specialize (1.08x); sparse specialization (level: each column of the
 dense system of Z_G has one nonzero entry); inlining the helpers into the
 three-variable leaf (level); scanning every variable, not only the first,
 for a factor to split off (slower in every prototype); a per-call memo of
-scalar-normalised subsystems (from 2 % faster to 20 % slower).
+scalar-normalised subsystems (from 2 % faster to 20 % slower); finding the
+monomial columns of a dense Z_G inside the kernel at every call, a scan
+that costs about as much as the Horner steps it saves (oracle op_p50_ms
+level, 0.276-0.285 ms), where the conversion now hands the columns over.
 """
 
 import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from math import prod
 from typing import Sequence
 
 # F_{p^k} = F_p[x]/(x^k + m(x)): p and the coefficients of m, lowest first
@@ -219,34 +232,86 @@ def count_common_zeros(polys, nvars, q, *, first=None):
     With first, an element of F_q, the first variable is fixed there
     instead: the number of points of F_q^(nvars - 1) at which every
     polynomial, with its first variable set to first, vanishes.  The
-    integer coefficients are reduced mod the characteristic before first
-    is substituted: reduced after, an element of F_4, F_8 or F_9 such as x
-    would be read as an integer and corrupted."""
+    integer coefficients of a dense polynomial are reduced mod the
+    characteristic before first is substituted: reduced after, an element
+    of F_4, F_8 or F_9 such as x would be read as an integer and corrupted.
+    Exponent columns hold exponents, not coefficients, and are read
+    unreduced; a system that has any is split on its first variable here,
+    so that only dense slices reach the recursion."""
     F = field(q)
     if first is not None and not (nvars and 0 <= first < q):
         raise ValueError(f"no first variable to fix at {first} in F_{q}")
-    free = nvars if first is None else nvars - 1
-    active = []
-    for shape, coeffs in polys:
+    p = F.char
+    system, columns = [], False
+    for shape, data in polys:
         if len(shape) != nvars:
             raise ValueError("polynomial shape does not match the variable count")
-        poly = (tuple(shape), [c % F.char for c in coeffs])
-        if first is not None:
-            poly = _specialize(*poly, first, F)  # None when it vanishes there
-        if poly and any(poly[1]):
-            active.append(poly)
+        shape = tuple(shape)
+        column = _is_columns(shape, data)
+        if not column:
+            data = [c % p for c in data]
+        system.append((shape, data, column))
+        columns = columns or column
+    if first is not None:
+        return _count_slice(system, first, nvars - 1, F, first < p)
+    if columns:
+        return sum(
+            size * _count_slice(system, v, nvars - 1, F, v < p)
+            for v, size in _branches(F, True)
+        )
+    active = [(shape, data) for shape, data, _ in system if any(data)]
     if not active:
-        return q**free
-    return _count(active, free, F, first is None or first < F.char)
+        return q**nvars
+    return _count(active, nvars, F, True)
+
+
+def _is_columns(shape, data):
+    """Whether data is exponent columns over shape rather than dense: one
+    entry per monomial of the variables after the first, where a dense list
+    has shape[0] >= 2 times as many."""
+    return len(shape) > 0 and shape[0] >= 2 and len(data) == prod(shape[1:])
+
+
+def _dense_columns(shape, ks):
+    """The dense coefficient list of the exponent columns ks over shape:
+    a 1 at ks[j] * len(ks) + j for each column j."""
+    block = len(ks)
+    out = [0] * (shape[0] * block)
+    for j, k in enumerate(ks):
+        out[k * block + j] = 1
+    return out
+
+
+def _count_slice(system, v, free, F, rational):
+    """Common zeros of the (shape, data, columns) system with its first
+    variable fixed at v, over F_q^free.  Exponent columns are read through
+    a table of the powers of v, dense lists by _specialize."""
+    active = []
+    for shape, data, columns in system:
+        if columns:
+            times_v, powers = F.mul[v], [1]
+            for _ in range(shape[0] - 1):
+                powers.append(times_v[powers[-1]])
+            spec = (shape[1:], list(map(powers.__getitem__, data)))
+        else:
+            spec = _specialize(shape, data, v, F)  # None when it vanishes
+        if spec and any(spec[1]):
+            active.append(spec)
+    if not active:
+        return F.size**free
+    return _count(active, free, F, rational)
 
 
 def brute_force(polys, nvars, q):
     """The reference counter: every polynomial evaluated at every point of
-    F_q^nvars, with no early exit and no closed form."""
+    F_q^nvars, with no early exit and no closed form.  Reads both input
+    forms: exponent columns are expanded to the dense list first."""
     F = field(q)
     add, mul = F.add, F.mul
     systems = []
     for shape, coeffs in polys:
+        if _is_columns(shape, coeffs):
+            coeffs = _dense_columns(shape, coeffs)
         exponents = itertools.product(*(range(extent) for extent in shape))
         systems.append([(c % F.char, e) for c, e in zip(coeffs, exponents) if c % F.char])
     count = 0

@@ -3,7 +3,8 @@
 Subcommands: z (polynomials), class (Grothendieck classes), cone (tangent
 cone classes), chi (Euler characteristic tables), count (raw point-count
 reports), verify (cross-check suites).  Exit codes: 0 ok, 1 verification
-failure, 2 usage or parse error, 3 budget exceeded, 4 oracle inconsistency.
+failure, 2 usage or parse error, 3 budget exceeded or out of memory, 4
+oracle inconsistency.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ def _exits(fn):
                     click.echo(f"error: {exc}", err=True)
                     sys.exit(code)
             raise
+        except MemoryError:  # a class too large for this machine's memory
+            click.echo("error: out of memory", err=True)
+            sys.exit(3)
 
     return wrapper
 

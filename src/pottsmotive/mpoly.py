@@ -19,9 +19,10 @@ variable of both) and a sum in which no coefficient cancels.  _subset_poly
 takes Z_G from tutte_delcon on a graph with a vertex as its k-list, k(A)
 for each edge subset A in subset order.  Its terms slot stays unset, and
 __getattr__ builds it (_subset_terms) on the first read and keeps it; only
-render, ==, bool, is_zero and pointcount._dense_system read the list (_ks)
-instead.  What can drop a variable (a cancelling sum, substitute,
-lowest_homogeneous_part, divide_exact_by_q_power) stays on MPoly(...).
+render, ==, bool, is_zero and pointcount._dense_system, which hands the
+list itself to the counting kernel, read the list (_ks) instead.  What can
+drop a variable (a cancelling sum, substitute, lowest_homogeneous_part,
+divide_exact_by_q_power) stays on MPoly(...).
 """
 
 from __future__ import annotations
@@ -80,7 +81,11 @@ class MPoly:
         if len(used) < len(variables) or not _is_canonical(variables):
             order = sorted(used, key=lambda i: var_sort_key(variables[i]))
             variables = tuple(variables[i] for i in order)
-            raw = {tuple(e[i] for i in order): c for e, c in raw.items()}
+            if len(order) >= 2:  # itemgetter of two or more returns a tuple
+                rekey = itemgetter(*order)
+                raw = {rekey(e): c for e, c in raw.items()}
+            else:
+                raw = {tuple(map(e.__getitem__, order)): c for e, c in raw.items()}
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", raw)
         object.__setattr__(self, "_hash", None)

@@ -19,7 +19,8 @@ arXiv:math/0012198), so a reserved check field and the exactness of every
 division guard the fit.
 
 complement_counter is the one counter: it converts its polynomials to the
-kernel's dense form once, and a report counts every sample and check field
+kernel's input forms once (Z_G as exponent columns, its k-list, and every
+other polynomial dense), and a report counts every sample and check field
 through one counter.  A fixed-q report counts the system of Z_G itself,
 q first, and the kernel fixes q at a field element: q0 % char in odd
 characteristic, and the generator x of F_4 and F_8, where the integer q0
@@ -82,11 +83,14 @@ def _check_budget(q: int, ambient_dim: int) -> None:
 
 
 def _dense_system(polys: Sequence[MPoly]):
-    """Convert polynomials to the kernel's dense format over the union of
+    """Convert polynomials to the kernel's input forms over the union of
     their variables in canonical order (q outermost).  A k-list poly
-    (mpoly._subset_poly) over all of them is read from its list: q^k t^A,
-    A a binary number with the first edge as its high bit, sits at
-    k * 2^E + A of an array of shape (K + 1, 2, ..., 2)."""
+    (mpoly._subset_poly) over all of them goes in as exponent columns: its
+    own list ks, uncopied, with shape (K + 1, 2, ..., 2), where entry A (a
+    binary number with the first edge as its high bit) is the exponent of q
+    in the monomial q^k t^A and every coefficient is 1.  Every other poly is
+    dense: the flat row-major coefficient list of its shape.  A counter's
+    memo key holds each list once, so 2^E ints per k-list Z_G."""
     names = sorted({v for p in polys for v in p.variables}, key=var_sort_key)
     pos = {n: i for i, n in enumerate(names)}
     whole = tuple(names)
@@ -94,12 +98,7 @@ def _dense_system(polys: Sequence[MPoly]):
     for p in polys:
         ks = p._ks
         if ks is not None and p.variables == whole:
-            edges = len(whole) - 1
-            shape = (max(ks) + 1,) + (2,) * edges
-            coeffs = [0] * (shape[0] << edges)
-            for a, k in enumerate(ks):
-                coeffs[k << edges | a] = 1
-            dense.append((shape, coeffs))
+            dense.append(((max(ks) + 1,) + (2,) * (len(whole) - 1), ks))
             continue
         terms = p.terms
         degs = [0] * len(names)
@@ -126,13 +125,16 @@ def complement_counter(
     nonzero, the complement of their common zero locus, as a function of the
     field size q.  With fixed_q, q is no coordinate: the function also takes
     the element of F_q that q is fixed to, and the kernel fixes it there.
-    The polynomials are converted to the kernel's dense form once, here, so
-    that every field of a report counts the same system; a field is checked
-    when it is counted.
+    The polynomials are converted to the kernel's input forms once, here
+    (_dense_system), so that every field of a report counts the same
+    system; a field is checked when it is counted.
 
-    Inside a `potts verify` run, a kernel count is kept, keyed by the dense
-    system, the field size and the fixed element, and any counter of the run
-    that meets the same key again reuses it, until the run ends.  It is
+    Inside a `potts verify` run, a kernel count is kept, keyed by the
+    converted system (each (shape, data) with data as a tuple: 2^E ints for
+    a k-list Z_G, prod(shape) for a dense poly; the two lengths differ, so
+    the forms never share a key), the field size and the fixed element, and
+    any counter of the run that meets the same key again reuses it, until
+    the run ends.  It is
     looked up only once the field and the budget have been checked, so a
     refusal is never kept.  Outside a run every count reaches the kernel, so
     a kernel swapped in there sees them all; see _runmemo."""
@@ -145,7 +147,7 @@ def complement_counter(
         raise InvalidArgumentError(
             f"{free} variables do not fit in ambient dimension {ambient_dim}"
         )
-    system = None  # dense as a memo key, made on the first count in a run
+    system = None  # the memo key, made on the first count in a run
 
     def complement(q: int, element: int | None = None) -> int:
         nonlocal system

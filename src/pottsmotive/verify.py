@@ -14,7 +14,7 @@ Many checks rebuild the same Z_G or repeat the same count: a graph's Z_G
 recurs in every edge's deletion-contraction check, and a subgraph's in the
 checks of its parent.  For the length of one `run_suite` call, the memo of
 _runmemo shares both: each graph's Z_G and each kernel count of a
-pointcount.complement_counter (dense system, field, fixed element) are made
+pointcount.complement_counter (converted system, field, fixed element) are made
 once per run.  It is not process-wide: it ends with the run, even when the
 run raises, so the tests that run the thunks one by one, or that swap in
 the reference counter, count afresh.

@@ -336,6 +336,20 @@ def test_count_budget_exit_3(runner, monkeypatch):
     assert result.exit_code == 3
 
 
+def test_out_of_memory_exit_3_without_a_traceback(runner, monkeypatch):
+    # the callee raises as a huge class index would under a memory limit,
+    # so nothing is allocated for real
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(sys.modules["pottsmotive.cli"], "_family_class", exhausted)
+    result = runner.invoke(cli, ["class", "--family", "polygon", "--m", "4611686018427387904"])
+    assert result.exit_code == 3
+    assert result.stderr == "error: out of memory\n"
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
 def _count(runner, *args):
     return runner.invoke(cli, ["count", "--family", "polygon", "--m", "2", *args])
 

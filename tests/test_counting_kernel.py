@@ -327,8 +327,8 @@ def test_four_variable_loop_does_not_recurse(monkeypatch):
 
 
 # -- fixing the first variable -------------------------------------------------
-# A fixed-q slice is counted from the dense system of Z_G with q first, the
-# kernel fixing q at a field element: at x in F_4 and F_8, which no integer
+# A fixed-q slice is counted from the system of Z_G with q first, its
+# exponent columns, the kernel fixing q at a field element: at x in F_4 and F_8, which no integer
 # coefficient reaches.
 
 

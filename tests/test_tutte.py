@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pottsmotive import pointcount, tutte
+from pottsmotive import _countpure, pointcount, tutte
 from pottsmotive.errors import InvalidArgumentError, ResourceLimitError
 from pottsmotive.mpoly import MPoly, Q, edge_var
 from pottsmotive.multigraph import (
@@ -267,6 +267,22 @@ def test_vertex_labels_beyond_a_byte():
         assert Q * tutte_delcon(g.contract_edge(eid)) == Q * zc + zn
 
 
+def _assert_columns_expand_to_the_rebuild(polys, rebuilt):
+    # each k-list poly goes to the kernel as its own list, the exponent
+    # columns; expanded, they are the dense arrays of the rebuild, and the
+    # kernel counts both alike
+    names, system = pointcount._dense_system(polys)
+    rebuilt_names, dense = pointcount._dense_system(rebuilt)
+    assert names == rebuilt_names
+    assert all(data is p._ks for (_, data), p in zip(system, polys))
+    expanded = [(shape, _countpure._dense_columns(shape, ks)) for shape, ks in system]
+    assert expanded == dense
+    for q in (2, 3, 4):
+        assert _countpure.count_common_zeros(
+            system, len(names), q
+        ) == _countpure.count_common_zeros(dense, len(names), q)
+
+
 def _assert_subset_poly_agrees(g):
     # z is read before its terms are built; r is a validated rebuild from
     # the terms of a second, separately built Z_G
@@ -275,7 +291,7 @@ def _assert_subset_poly_agrees(g):
     r = MPoly(w.variables, dict(w.terms))
     assert z.render() == r.render()
     assert z and not z.is_zero
-    assert pointcount._dense_system([z]) == pointcount._dense_system([r])
+    _assert_columns_expand_to_the_rebuild([z], [r])
     with pytest.raises(AttributeError):
         object.__getattribute__(z, "terms")  # none of the above built them
     assert z == w and z == r and r == z and hash(z) == hash(r)
@@ -284,7 +300,7 @@ def _assert_subset_poly_agrees(g):
     for eid in links[:2]:
         pair = [tutte_delcon(g.delete_edge(eid)), tutte_delcon(g.contract_edge(eid))]
         rebuilt = [MPoly(p.variables, dict(p.terms)) for p in pair]
-        assert pointcount._dense_system(pair) == pointcount._dense_system(rebuilt)
+        _assert_columns_expand_to_the_rebuild(pair, rebuilt)
         assert (pair[0] == pair[1]) == (rebuilt[0] == rebuilt[1])
 
 
@@ -300,6 +316,67 @@ def test_subset_poly_agrees_with_its_terms_beyond_a_byte():
         (("1", 0, 5), ("2", 5, 299), ("3", 299, 0), ("4", 0, 299), ("5", 150, 150)),
     )
     _assert_subset_poly_agrees(g)
+
+
+# The kernel against itself and the reference counter on exponent columns:
+# the column form of a system of k-list polys, its expansion to the dense
+# form, and brute_force, at every ladder field within these budgets, and
+# with q fixed at every element of each field, x outside F_p included.
+KERNEL_POINTS = 10**5  # q^nvars per field for the kernel's two forms
+BRUTE_WORK = 2 * 10**4  # points times monomials for brute_force
+
+
+def _assert_column_form_counts(polys):
+    names, system = pointcount._dense_system(polys)
+    assert all(data is p._ks for (_, data), p in zip(system, polys))
+    dense = [(shape, _countpure._dense_columns(shape, ks)) for shape, ks in system]
+    nvars = len(names)
+    monomials = sum(len(ks) for _, ks in system)
+    kernel = _countpure.count_common_zeros
+    for q in pointcount.FIELD_LADDER:
+        if q**nvars > KERNEL_POINTS:
+            break
+        count = kernel(system, nvars, q)
+        assert count == kernel(dense, nvars, q)
+        if q**nvars * monomials <= BRUTE_WORK:
+            assert count == _countpure.brute_force(system, nvars, q)
+        slices = [kernel(system, nvars, q, first=a) for a in range(q)]
+        assert slices == [kernel(dense, nvars, q, first=a) for a in range(q)]
+        assert sum(slices) == count
+
+
+@given(multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_column_form_of_z_matches_dense_and_brute_force(g):
+    _assert_column_form_counts([tutte_delcon(g)])
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_column_form_of_the_delcon_pair_matches_dense_and_brute_force(g, data):
+    links = [eid for eid, u, v in g.edges if u != v]
+    if links:
+        eid = data.draw(st.sampled_from(links))
+        _assert_column_form_counts(
+            [tutte_delcon(g.delete_edge(eid)), tutte_delcon(g.contract_edge(eid))]
+        )
+
+
+@pytest.mark.parametrize("q", pointcount.FIELD_LADDER)
+def test_column_form_reaches_every_ladder_field(q):
+    # one link: Z = q^2 + q*t, two variables counted at every element of
+    # every ladder field, against the dense form and brute_force
+    names, system = pointcount._dense_system([tutte_delcon(banana(1))])
+    assert system == [((3, 2), [2, 1])]
+    dense = [((3, 2), [0, 0, 0, 1, 1, 0])]
+    count = _countpure.count_common_zeros(system, 2, q)
+    assert count == _countpure.count_common_zeros(dense, 2, q)
+    assert count == _countpure.brute_force(system, 2, q) == _countpure.brute_force(dense, 2, q)
+    assert count == 2 * q - 1  # q = 0, or t = -q
+    for a in range(q):
+        slice_count = _countpure.count_common_zeros(system, 2, q, first=a)
+        assert slice_count == _countpure.count_common_zeros(dense, 2, q, first=a)
+        assert slice_count == (q if a == 0 else 1)
 
 
 def test_delcon_without_a_vertex_is_unpacked():
