@@ -19,7 +19,8 @@ first variable there and counts the others; a fixed-q slice is counted so,
 from the system of Z_G with q first, at elements such as the generator x of
 F_4 and F_8 that no integer reaches.
 
-The supported fields are F_p for a prime p and F_4, F_8 and F_9.  An element
+The supported fields are F_p for a prime p below MAX_PRIME and F_4, F_8 and
+F_9, and field() refuses every other size with ValueError.  An element
 of F_q is an int in range(q) whose base-p digits are its coefficients in
 F_p[x]/(m(x)), lowest first, so 0 and 1 are the field's zero and one and an
 integer coefficient c is the element c % p.  Every field up to F_37 does its
@@ -80,7 +81,7 @@ level, 0.276-0.285 ms), where the conversion now hands the columns over.
 import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from math import prod
+from math import isqrt, prod
 from typing import Sequence
 
 # F_{p^k} = F_p[x]/(x^k + m(x)): p and the coefficients of m, lowest first
@@ -91,6 +92,9 @@ EXTENSIONS = {
 }
 # the largest field whose operations are tables
 TABLE_MAX = 37
+# bounds the trial division that checks a prime: a dimension-0 count
+# enumerates one point, so no point budget bounds it
+MAX_PRIME = 2**31
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -114,17 +118,24 @@ class Field:
 def field(q):
     """The field with q elements: tables up to TABLE_MAX, built on first
     use, and above it a prime field whose entries are computed with % on
-    first read (q is taken to be prime there; the caller checks)."""
+    first read.  ValueError for a q that is neither in EXTENSIONS nor a
+    prime below MAX_PRIME; q is checked once, when its field is built, and
+    the caches serve every later call."""
     if q <= TABLE_MAX:
         return _table_field(q)
     return _modular_field(q)
+
+
+def _is_prime(n):
+    """Trial division, which MAX_PRIME keeps short."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 @cache
 def _table_field(q):
     if q in EXTENSIONS:
         p, low = EXTENSIONS[q]
-    elif q >= 2 and all(q % d for d in range(2, q)):
+    elif _is_prime(q):
         p, low = q, ()
     else:
         raise ValueError(f"no field with {q} elements is supported")
@@ -207,6 +218,8 @@ def _modular_field(p):
     field holds only the entries its counts have read, and a run uses one
     check prime or a few, so a few fields suffice; the bound stops a stream
     of primes up to 2^31 from keeping one each."""
+    if not (p < MAX_PRIME and _is_prime(p)):  # the cap first: no long division
+        raise ValueError(f"no field with {p} elements is supported")
 
     def roots(b, c):  # Euler's criterion on the discriminant; p is odd
         disc = (b * b - 4 * c) % p
@@ -236,8 +249,10 @@ def count_common_zeros(polys, nvars, q, *, first=None):
     characteristic before first is substituted: reduced after, an element
     of F_4, F_8 or F_9 such as x would be read as an integer and corrupted.
     Exponent columns hold exponents, not coefficients, and are read
-    unreduced; a system that has any is split on its first variable here,
-    so that only dense slices reach the recursion."""
+    unreduced.  The first variable is fixed here, by one rule, when first
+    is given or any polynomial is exponent columns: at first, or else at
+    one value of each Frobenius orbit, so that only dense slices reach the
+    recursion."""
     F = field(q)
     if first is not None and not (nvars and 0 <= first < q):
         raise ValueError(f"no first variable to fix at {first} in F_{q}")
@@ -252,17 +267,13 @@ def count_common_zeros(polys, nvars, q, *, first=None):
             data = [c % p for c in data]
         system.append((shape, data, column))
         columns = columns or column
-    if first is not None:
-        return _count_slice(system, first, nvars - 1, F, first < p)
-    if columns:
-        return sum(
-            size * _count_slice(system, v, nvars - 1, F, v < p)
-            for v, size in _branches(F, True)
-        )
-    active = [(shape, data) for shape, data, _ in system if any(data)]
-    if not active:
-        return q**nvars
-    return _count(active, nvars, F, True)
+    if first is None and not columns:
+        active = [(shape, data) for shape, data, _ in system if any(data)]
+        if not active:
+            return q**nvars
+        return _count(active, nvars, F, True)
+    values = _branches(F, True) if first is None else ((first, 1),)
+    return sum(size * _count_slice(system, v, nvars - 1, F, v < p) for v, size in values)
 
 
 def _is_columns(shape, data):

@@ -235,8 +235,6 @@ def _polygon_block(b: _Builder, entry: int, sides: int) -> int:
 
 
 def _banana_block(b: _Builder, entry: int, m: int) -> int:
-    if m == 0:
-        return entry
     far = b.vertex()
     for _ in range(m):
         b.edge(entry, far)

@@ -4,9 +4,10 @@ classes.
 Counting specializes one variable at a time over F_q and finishes the last
 few variables in closed form (root counts of affine and quadratic forms, see
 the kernel module); it consults no class formula of the package and is
-therefore the verification oracle.  The supported fields are F_p for a prime
-p below MAX_PRIME and F_4, F_8 and F_9.  A report's plan (sample_plan)
-samples the first d field sizes of FIELD_LADDER and checks at the next one.
+therefore the verification oracle.  The supported fields are those the
+kernel's field() builds: F_p for a prime p below 2^31 and F_4, F_8 and F_9.
+A report's plan (sample_plan) samples the first d field sizes of
+FIELD_LADDER and checks at the next one.
 
 For a polynomial-count variety, whose class is a polynomial in the torus
 class T, the number of F_q points equals that polynomial at T = q - 1 for
@@ -52,9 +53,6 @@ from .multigraph import _parse_int
 DEFAULT_BUDGET = 10**8
 # the field sizes that plans sample, smallest first
 FIELD_LADDER = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 29, 31, 37)
-# bounds the trial division that checks a prime given from outside: a
-# dimension-0 count enumerates one point, so POTTS_BUDGET never bounds it
-MAX_PRIME = 2**31
 
 
 def kernel_backend() -> str:
@@ -184,7 +182,7 @@ def _slice_element(q0: int, q: int) -> int:
     counted: q0 % char in odd characteristic, and the generator x (element
     2) of F_4 and F_8, whatever q0 is, since every integer is 0 or 1 there.
     F_2 has no other element, so there it is q0 % 2, which degenerates."""
-    char = _characteristic(q)
+    char = _countpure.field(q).char
     if char == 2 and q > 2:
         return 2
     return q0 % char
@@ -227,29 +225,16 @@ def _class_from_samples(samples, ambient_dim: int) -> ClassPoly:
     return ClassPoly(coeffs)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _characteristic(q: int) -> int:
-    """The characteristic of the supported field F_q."""
-    return _countpure.EXTENSIONS.get(q, (q,))[0]
-
-
 def _check_fields(sizes: Iterable[int]) -> None:
-    """Refuse all but the supported fields: the kernel's closed forms need a
-    field, and the cap is tested first so that trial division stays short."""
-    bad = [
-        q for q in sizes
-        if q not in _countpure.EXTENSIONS and not (q < MAX_PRIME and _is_prime(q))
-    ]
+    """Refuse every size that the kernel's field() refuses, all at once: the
+    closed forms need a field.  A size it accepts is checked once, when its
+    field is built; every later check is a cache hit."""
+    bad = []
+    for q in sizes:
+        try:
+            _countpure.field(q)
+        except ValueError:
+            bad.append(q)
     if bad:
         raise InvalidArgumentError(
             f"{bad} are not primes below 2^31 nor one of "

@@ -77,3 +77,18 @@ def conversions(monkeypatch):
     monkeypatch.setattr(pointcount, "_dense_system", counted_dense)
     monkeypatch.setattr(_countpure, "count_common_zeros", counted_kernel)
     return calls
+
+
+@pytest.fixture
+def primality_tests(monkeypatch):
+    """The numbers the kernel's primality test is run on, in call order,
+    through a counting wrapper on the module attribute."""
+    calls = []
+    is_prime = _countpure._is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(_countpure, "_is_prime", counted)
+    return calls

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pottsmotive
+from pottsmotive import _countpure, tangentcone
+from pottsmotive.classpoly import ClassPoly
 from pottsmotive.cli import WHICH, cli
 
 
@@ -34,6 +36,22 @@ def test_z_which_selector(runner):
     )
     assert result.exit_code == 0
     assert result.output.strip() == "t1*t2 + t1*t3 + t2*t3"
+
+
+@pytest.mark.parametrize(
+    "which, rendering",
+    [
+        ("z", "q*t1*t2*t3 + q^3 + q^2*t1 + q^2*t2 + q^2*t3 + q*t1*t2 + q*t1*t3 + q*t2*t3"),
+        ("phi", "t1*t2 + t1*t3 + t2*t3"),
+    ],
+)
+def test_z_json_document(runner, which, rendering):
+    result = runner.invoke(
+        cli, ["z", "--family", "polygon", "--m", "2", "--which", which, "--format", "json"]
+    )
+    assert result.exit_code == 0
+    assert result.output == json.dumps({"which": which, "rendering": rendering}) + "\n"
+    assert list(json.loads(result.output)) == ["which", "rendering"]
 
 
 def test_z_14_edges_prints_the_pinned_bytes(runner):
@@ -377,6 +395,40 @@ def test_count_prime_beyond_kernel_range_exit_2(runner):
     result = _count(runner, "--check", "2147483659")
     assert result.exit_code == 2
     assert "below 2^31" in result.output
+
+
+@pytest.mark.parametrize("size", ["49", "2147483659"])
+def test_count_unsupported_field_size_exit_2(runner, size):
+    # 49 = 7^2; 2^31 + 11 is prime, but not below the kernel's MAX_PRIME
+    result = _count(runner, "--primes", f"2,3,5,{size}", "--check", "7")
+    assert result.exit_code == 2
+    assert result.output == (
+        f"error: [{size}] are not primes below 2^31 nor one of [4, 8, 9], "
+        "so not a supported field\n"
+    )
+
+
+def test_count_non_integer_divided_difference_exit_4(runner, monkeypatch):
+    # complement counts q^4 - 1 at F_2 and q^4 elsewhere: their second
+    # divided difference is -1/2
+    def kernel(polys, nvars, q, **kwargs):
+        return 1 if q == 2 else 0
+
+    monkeypatch.setattr(_countpure, "count_common_zeros", kernel)
+    result = _count(runner, "--primes", "2,3,4,5", "--check", "7")
+    assert result.exit_code == 4
+    assert "non-integer divided difference" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_cone_oracle_disagreement_exit_4(runner, monkeypatch):
+    monkeypatch.setattr(tangentcone, "v_class", lambda g: ClassPoly([1]))
+    result = runner.invoke(cli, ["cone", "--family", "polygon", "--m", "2", "--oracle"])
+    assert result.exit_code == 4
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: closed form ")
+    assert "disagrees with counted class 1" in lines[0]
+    assert "Traceback" not in result.output
 
 
 def test_count_dimension_0_huge_prime_exit_2(runner, tmp_path):

@@ -90,6 +90,26 @@ def test_unsupported_table_field_refused(q):
         _countpure.field(q)
 
 
+@pytest.mark.parametrize("q", [49, 2**40 + 1, 2**31 + 11])
+def test_unsupported_field_above_the_tables_refused(q):
+    # 49 = 7^2 and 2^40 + 1 = 257 * 4278255361 are composite; 2^31 + 11 is
+    # prime, but not below MAX_PRIME, the cap on trial division
+    with pytest.raises(ValueError, match=f"no field with {q} elements"):
+        _countpure.field(q)
+    with pytest.raises(ValueError, match=f"no field with {q} elements"):
+        _countpure.count_common_zeros([((2, 2), [0, 0, 1, 1])], 2, q)
+
+
+def test_primality_is_tested_once_per_field(primality_tests):
+    _countpure._table_field.cache_clear()
+    _countpure._modular_field.cache_clear()
+    polys = [((2, 2), [0, 0, 1, 1])]
+    for q in (7, 41):
+        assert _countpure.count_common_zeros(polys, 2, q) == 2 * q - 1
+        assert _countpure.count_common_zeros(polys, 2, q) == 2 * q - 1
+    assert primality_tests == [7, 41]  # each field built once, then cached
+
+
 @pytest.mark.parametrize("p", [41, 2**31 - 1])
 def test_modular_field_computes_the_table_operations(p):
     F = _countpure.field(p)

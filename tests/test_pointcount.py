@@ -156,6 +156,15 @@ def test_non_prime_modulus_rejected(modulus):
         complement_counter([MPoly.zero()], 2)(modulus)
 
 
+def test_a_report_tests_each_field_for_primality_once(primality_tests):
+    # the plan builds each field through the kernel's field(), and every
+    # count after that finds it in the kernel's cache
+    _countpure._modular_field.cache_clear()
+    first = complement_report(LOOP_Z, 2, (41, 43), 47)
+    assert complement_report(LOOP_Z, 2, (41, 43), 47) == first
+    assert primality_tests == [41, 43, 47]
+
+
 def test_too_many_variables_rejected():
     with pytest.raises(InvalidArgumentError):
         complement_counter([Q * T1 * T2], 2)

@@ -61,6 +61,38 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def test_fixed_q_independence_check_reports_differing_counts(monkeypatch):
+    # a kernel whose slice counts depend on the element q is fixed to
+    kernel = _countpure.count_common_zeros
+
+    def by_element(polys, nvars, q, *, first=None):
+        return kernel(polys, nvars, q, first=first) + (first or 0)
+
+    monkeypatch.setattr(_countpure, "count_common_zeros", by_element)
+    check = dict(verify.checks("oracle"))["oracle/fixed-q-independent/triangle"]
+    ok, detail = check()
+    assert not ok
+    # F_3 has the one element 2 besides 0 and 1; F_4 has 2 and 3
+    assert detail.startswith("fixed-q counts differ at p=4: [")
+
+
+def test_full_run_shares_its_counts_and_z_builds(monkeypatch, kernel_calls):
+    # pinned so that any change in sharing shows up: each check run alone
+    # makes 1,132 kernel counts and 670 Z_G builds.  13 of the 496 counts
+    # repeat a count of four small Z_G (of 0, 1 and 2 edges) that reach the
+    # kernel once as exponent columns and once dense, under different keys
+    builds = []
+    delcon = tutte._delcon
+
+    def counted(g):
+        builds.append(g)
+        return delcon(g)
+
+    monkeypatch.setattr(tutte, "_delcon", counted)
+    verify.run_suite("all", 5)
+    assert (len(kernel_calls), len(builds)) == (496, 83)
+
+
 def _two_counters(z, ambient_dim, **kwargs):
     """Two counters of one polynomial, each converting it on its own."""
     return [pointcount.complement_counter([z], ambient_dim, **kwargs) for _ in range(2)]
