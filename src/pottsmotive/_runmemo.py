@@ -6,10 +6,10 @@ ask again and again for the same two costly leaves: Z_G of a graph
 field at one fixed element (pointcount.complement_counter).  While a run is
 in progress, `current` is a dict that holds both, keyed by ("z", graph) and
 by ("count", system, field size, element); the system is the kernel input of
-pointcount._dense_system with each list as a tuple, so a k-list Z_G adds
-its 2^E exponents to the key and any other polynomial its dense
-coefficients.  Outside a run `current` is None, and each of the two leaves
-then pays one `is None` test.
+pointcount._dense_system in dense form, each list as a tuple and exponent
+columns expanded to their dense coefficients, so that a polynomial keys the
+same count whichever form it reached the kernel in.  Outside a run
+`current` is None, and each of the two leaves then pays one `is None` test.
 Only results are stored, so a refusal is raised again on every call.
 
 The memo is not process-wide.  It ends with the run, also when the run

@@ -15,22 +15,30 @@ constructors, whose callers guarantee that the variables are in canonical
 order and each occurs.  _mpoly takes terms whose keys are tuples of that
 length and whose coefficients are nonzero ints: negation, multiplication by
 a nonzero int, the product of two nonzero polynomials (over Z it uses every
-variable of both) and a sum in which no coefficient cancels.  _subset_poly
-takes Z_G from tutte_delcon on a graph with a vertex as its k-list, k(A)
-for each edge subset A in subset order.  Its terms slot stays unset, and
-__getattr__ builds it (_subset_terms) on the first read and keeps it; only
-render, ==, bool, is_zero and pointcount._dense_system, which hands the
-list itself to the counting kernel, read the list (_ks) instead.  What can
-drop a variable (a cancelling sum, substitute, lowest_homogeneous_part,
-divide_exact_by_q_power) stays on MPoly(...).
+variable of both) and a sum in which no coefficient cancels.
+
+_subset_poly takes a subset poly: at most one unit monomial q^k t^A per
+subset A of the edge variables variables[1:], given as its k-list, k(A) for
+each A in subset order (the order of product((0, 1), repeat=E)), with -1
+for a subset that has no monomial (a hole) and 0 for a monomial without q.
+Z_G, its q-quotients, its lowest part and the two halves of the connecting
+split are such polys.  Their terms slot stays unset, and __getattr__ builds
+it (_subset_terms) on the first read and keeps it.  The list passes build
+subset polys from subset polys with no terms dict: divide_exact_by_q_power
+and Q * p shift the list, lowest_homogeneous_part keeps the entries of least
+k + |A|, a sum of two with disjoint supports merges the lists, and
+substitute("q", c) makes the sparse dict in one pass.  _packed compacts
+away an edge variable left with no monomial and falls back to a plain poly
+when q drops out.  render, ==, bool, is_zero, the degree queries and
+pointcount._dense_system read the list (_ks) instead of the terms.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
-from itertools import product
-from operator import add, itemgetter
+from functools import lru_cache, reduce
+from itertools import compress, product
+from operator import add, itemgetter, or_
 from typing import Mapping, Union
 
 from .errors import ExactDivisionError, InvalidArgumentError
@@ -143,6 +151,10 @@ class MPoly:
             if not isinstance(other, int):
                 return NotImplemented
             other = MPoly.const(other)
+        if self._ks is not None and other._ks is not None:
+            merged = _merge_subsets(self, other)
+            if merged is not None:
+                return merged
         names, a, b = self._aligned(other)
         out = dict(a)
         cancelled = False
@@ -180,6 +192,10 @@ class MPoly:
             if not other:
                 return MPoly.zero()
             return _mpoly(self.variables, {e: c * other for e, c in self.terms.items()})
+        if self._ks is not None and _is_q(other):
+            return _subset_poly(self.variables, _shift(self._ks, 1))
+        if other._ks is not None and _is_q(self):
+            return _subset_poly(other.variables, _shift(other._ks, 1))
         if not self.terms or not other.terms:
             return MPoly.zero()
         names, a, b = self._aligned(other)
@@ -235,12 +251,17 @@ class MPoly:
     # -- queries -----------------------------------------------------------
 
     def total_degree(self) -> int:
+        if self._ks is not None:
+            return max(_present(_subset_degrees(self._ks), self._ks))
         if not self.terms:
             raise InvalidArgumentError("degree of the zero polynomial is undefined")
         return max(sum(e) for e in self.terms)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
+        if self._ks is not None:
+            degs = set(_present(_subset_degrees(self._ks), self._ks))
+        else:
+            degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
     # -- operations --------------------------------------------------------
@@ -251,6 +272,8 @@ class MPoly:
             raise TypeError(f"substitute takes an int, not {type(value).__name__}")
         if name not in self.variables:
             return self
+        if self._ks is not None and name == "q":
+            return _substitute_q(self.variables[1:], self._ks, value)
         # value**e is an int: each term lands on its own exponents without
         # `name`, and no variable joins
         idx = self.variables.index(name)
@@ -262,6 +285,14 @@ class MPoly:
 
     def lowest_homogeneous_part(self) -> "MPoly":
         """Sum of the terms of minimal total degree (all variables weight 1)."""
+        if self._ks is not None:
+            ks = self._ks
+            degrees = _subset_degrees(ks)
+            low = min(_present(degrees, ks))
+            # a hole stays a hole, whatever its entry in degrees
+            return _packed(
+                self.variables, [k if d == low else -1 for k, d in zip(ks, degrees)]
+            )
         if not self.terms:
             raise InvalidArgumentError(
                 "the zero polynomial has no lowest homogeneous part"
@@ -277,8 +308,10 @@ class MPoly:
         """Exact quotient by q^k; every term must be divisible."""
         if k < 0:
             raise InvalidArgumentError("negative power of q")
-        if k == 0 or not self.terms:
+        if k == 0 or self.is_zero:
             return self
+        if self._ks is not None:
+            return _divide_subsets(self.variables, self._ks, k)
         if "q" not in self.variables:
             raise ExactDivisionError(f"q^{k} does not divide {self}")
         idx = self.variables.index("q")
@@ -345,17 +378,20 @@ def _mpoly(variables: tuple, terms: dict) -> MPoly:
 
 
 def _subset_terms(ks: list[int], width: int) -> dict[tuple, int]:
-    """The terms q^k(A) t^A of a list of k(A) in subset order, the order of
-    product((0, 1), repeat=width): the one thing the subset and the
-    deletion-contraction routes share."""
-    return {(k,) + t: 1 for k, t in zip(ks, product((0, 1), repeat=width))}
+    """The terms q^k(A) t^A of a k-list in subset order, the order of
+    product((0, 1), repeat=width), a hole (-1) giving none: the one thing
+    the subset and the deletion-contraction routes share."""
+    subsets = product((0, 1), repeat=width)
+    return {(k,) + t: 1 for k, t in zip(ks, subsets) if k >= 0}
 
 
 def _subset_poly(variables: tuple, ks: list[int]) -> MPoly:
-    """The MPoly sum of q^k(A) t^A over the subsets A of the edge variables
-    variables[1:], given as ks, the list of k(A) in subset order.  Trusted as
-    _mpoly is: the caller guarantees canonical variables with "q" first and
-    every k >= 1, so every variable occurs.  terms is built on first read."""
+    """The subset poly, the sum of q^k(A) t^A over the subsets A of the edge
+    variables variables[1:] that are not holes, given as ks, the list of
+    k(A) in subset order.  Trusted as _mpoly is: the caller guarantees
+    canonical variables with "q" first and that each occurs, so some entry
+    is at least 1, and every edge variable is in some A that is not a hole.
+    terms is built on first read."""
     p = object.__new__(MPoly)
     object.__setattr__(p, "variables", variables)
     object.__setattr__(p, "_hash", None)
@@ -363,14 +399,116 @@ def _subset_poly(variables: tuple, ks: list[int]) -> MPoly:
     return p
 
 
+def _packed(variables: tuple, ks: list[int]) -> MPoly:
+    """The poly of a k-list over variables ("q" first, canonical) whose
+    variables need not all occur: an edge variable in no subset that is
+    not a hole is compacted away, and a list with no entry above 0 is q-free
+    and leaves as a plain poly (zero when every entry is a hole)."""
+    if -1 in ks:
+        used = reduce(or_, compress(range(len(ks)), map((-1).__ne__, ks)), 0)
+        edges = len(variables) - 1
+        dead = ((1 << edges) - 1) & ~used
+        if dead:
+            # a subset with no dead edge keeps its order among the others
+            variables = ("q",) + tuple(
+                name
+                for i, name in enumerate(variables[1:])
+                if not dead >> (edges - 1 - i) & 1
+            )
+            ks = [k for a, k in enumerate(ks) if not a & dead]
+    top = max(ks)
+    if top >= 1:
+        return _subset_poly(variables, ks)
+    if top < 0:
+        return MPoly.zero()
+    subsets = product((0, 1), repeat=len(variables) - 1)
+    return _mpoly(variables[1:], {t: 1 for k, t in zip(ks, subsets) if not k})
+
+
+def _shift(ks: list[int], d: int) -> list[int]:
+    """ks with d added to every entry that is not a hole."""
+    if -1 in ks:
+        return [k + d if k >= 0 else -1 for k in ks]
+    return list(map(d.__add__, ks))
+
+
+def _is_q(p: MPoly) -> bool:
+    return p.variables == ("q",) and p.terms == {(1,): 1}
+
+
+def _subset_degrees(ks: list[int]) -> list[int]:
+    """k + |A| for each entry of ks, aligned with it; a hole reads |A| - 1,
+    so read it through _present."""
+    return list(map(add, ks, map(int.bit_count, range(len(ks)))))
+
+
+def _present(values, ks: list[int]):
+    """The values at the entries of ks that are not holes."""
+    return compress(values, map((-1).__ne__, ks)) if -1 in ks else values
+
+
+def _widen(ks: list[int], names: tuple, wide: tuple) -> list[int]:
+    """The k-list over names as a k-list over wide, which holds every name
+    in the same order: a subset with an edge outside names is a hole."""
+    if names == wide:
+        return ks
+    present = set(names)
+    index = [0]  # per subset of wide's edges so far: its index over names, or -1
+    for name in wide[1:]:
+        if name in present:
+            index = [2 * i + b if i >= 0 else -1 for i in index for b in (0, 1)]
+        else:
+            index = [x for i in index for x in (i, -1)]
+    return [ks[i] if i >= 0 else -1 for i in index]
+
+
+def _merge_subsets(a: MPoly, b: MPoly) -> MPoly | None:
+    """a + b for two subset polys with disjoint supports, their lists
+    merged over the union of their variables; None when some subset has a
+    monomial in both."""
+    if a.variables == b.variables:
+        names, x, y = a.variables, a._ks, b._ks
+    else:
+        names = tuple(sorted(set(a.variables) | set(b.variables), key=var_sort_key))
+        x, y = _widen(a._ks, a.variables, names), _widen(b._ks, b.variables, names)
+    if max(map(min, x, y)) >= 0:
+        return None
+    return _subset_poly(names, list(map(max, x, y)))
+
+
+def _substitute_q(edges: tuple, ks: list[int], value: int) -> MPoly:
+    """substitute("q", value) of the subset poly over ("q",) + edges: one
+    term value**k(A) t^A per subset that is not a hole."""
+    if not value:
+        # only the monomials without q remain, and an edge variable may drop
+        return _packed(("q",) + edges, [0 if k == 0 else -1 for k in ks])
+    powers = [value**k for k in range(max(ks) + 1)]
+    subsets = product((0, 1), repeat=len(edges))
+    return _mpoly(edges, {t: powers[k] for k, t in zip(ks, subsets) if k >= 0})
+
+
+def _divide_subsets(variables: tuple, ks: list[int], k: int) -> MPoly:
+    """divide_exact_by_q_power(k) of the subset poly ks over variables."""
+    low = min(_present(ks, ks))
+    if low < k:
+        a = next(a for a, e in enumerate(ks) if 0 <= e < k)
+        bits = tuple(a >> i & 1 for i in range(len(variables) - 2, -1, -1))
+        raise ExactDivisionError(f"q^{k} does not divide the term {(ks[a],) + bits}")
+    return _packed(variables, _shift(ks, -k))
+
+
 def _render_subsets(variables: tuple, ks: list[int]) -> str:
-    """render() of a k-list poly.  A subset A is the binary number whose
+    """render() of a subset poly.  A subset A is the binary number whose
     high bit is the first edge; one integer ((k + |A|)(K + 1) + k) << E | A
-    per subset sorts as (total degree, exponents) does, and each term is the
-    q power and two table lookups, one per half of the edges."""
+    per subset that is not a hole sorts as (total degree, exponents) does,
+    and each term is the q power and two table lookups, one per half of
+    the edges."""
     edges = len(variables) - 1
     top = max(ks) + 1
-    keys = [((k + a.bit_count()) * top + k) << edges | a for a, k in enumerate(ks)]
+    keys = [
+        ((k + a.bit_count()) * top + k) << edges | a
+        for a, k in _present(enumerate(ks), ks)
+    ]
     keys.sort(reverse=True)
     q_text = ["", "q"] + [f"q^{k}" for k in range(2, top)]
     low_width = edges // 2
@@ -378,12 +516,14 @@ def _render_subsets(variables: tuple, ks: list[int]) -> str:
     high, low = _factor_table(variables[1:split]), _factor_table(variables[split:])
     mask = (1 << low_width) - 1
     subset = (1 << edges) - 1
-    return " + ".join(
-        [
-            q_text[(x >> edges) % top] + high[(x & subset) >> low_width] + low[x & mask]
-            for x in keys
-        ]
-    )
+    terms = [
+        q_text[(x >> edges) % top] + high[(x & subset) >> low_width] + low[x & mask]
+        for x in keys
+    ]
+    if 0 in ks:
+        # a term without q starts at its first edge, or is 1
+        terms = [t if t[:1] == "q" else t[1:] or "1" for t in terms]
+    return " + ".join(terms)
 
 
 def _factor_table(names: tuple) -> list[str]:

@@ -82,13 +82,15 @@ def _check_budget(q: int, ambient_dim: int) -> None:
 
 def _dense_system(polys: Sequence[MPoly]):
     """Convert polynomials to the kernel's input forms over the union of
-    their variables in canonical order (q outermost).  A k-list poly
-    (mpoly._subset_poly) over all of them goes in as exponent columns: its
-    own list ks, uncopied, with shape (K + 1, 2, ..., 2), where entry A (a
-    binary number with the first edge as its high bit) is the exponent of q
-    in the monomial q^k t^A and every coefficient is 1.  Every other poly is
-    dense: the flat row-major coefficient list of its shape.  A counter's
-    memo key holds each list once, so 2^E ints per k-list Z_G."""
+    their variables in canonical order (q outermost).  A subset poly
+    (mpoly._subset_poly) over all of them has shape (K + 1, 2, ..., 2) and
+    is read from its k-list ks.  With no hole it goes in as exponent
+    columns: ks itself, uncopied, where entry A (a binary number with the
+    first edge as its high bit) is the exponent of q in the monomial q^k t^A
+    and every coefficient is 1.  A list with holes goes in dense, a 1 at
+    k * 2^E + A for each entry k that is not a hole, and so does every other
+    poly: the flat row-major coefficient list of its shape, from its
+    terms."""
     names = sorted({v for p in polys for v in p.variables}, key=var_sort_key)
     pos = {n: i for i, n in enumerate(names)}
     whole = tuple(names)
@@ -96,7 +98,16 @@ def _dense_system(polys: Sequence[MPoly]):
     for p in polys:
         ks = p._ks
         if ks is not None and p.variables == whole:
-            dense.append(((max(ks) + 1,) + (2,) * (len(whole) - 1), ks))
+            shape = (max(ks) + 1,) + (2,) * (len(whole) - 1)
+            if -1 in ks:
+                block = len(ks)
+                coeffs = [0] * (shape[0] * block)
+                for a, k in enumerate(ks):
+                    if k >= 0:
+                        coeffs[k * block + a] = 1
+                dense.append((shape, coeffs))
+            else:
+                dense.append((shape, ks))
             continue
         terms = p.terms
         degs = [0] * len(names)
@@ -128,14 +139,14 @@ def complement_counter(
     system; a field is checked when it is counted.
 
     Inside a `potts verify` run, a kernel count is kept, keyed by the
-    converted system (each (shape, data) with data as a tuple: 2^E ints for
-    a k-list Z_G, prod(shape) for a dense poly; the two lengths differ, so
-    the forms never share a key), the field size and the fixed element, and
-    any counter of the run that meets the same key again reuses it, until
-    the run ends.  It is
-    looked up only once the field and the budget have been checked, so a
-    refusal is never kept.  Outside a run every count reaches the kernel, so
-    a kernel swapped in there sees them all; see _runmemo."""
+    converted system in dense form (each (shape, data) with data as a tuple,
+    exponent columns expanded by _countpure._dense_columns, so that the two
+    forms of one polynomial share one count), the field size and the fixed
+    element, and any counter of the run that meets the same key again
+    reuses it, until the run ends.  It is looked up only once the field and
+    the budget have been checked, so a refusal is never kept.  Outside a
+    run every count reaches the kernel, so a kernel swapped in there sees
+    them all; see _runmemo."""
     constraints = [p for p in polys if not p.is_zero]
     names, dense = _dense_system(constraints) if constraints else ([], [])
     nvars = len(names)
@@ -159,7 +170,12 @@ def complement_counter(
             n = _kernel_count(dense, nvars, q, first)
         else:
             if system is None:
-                system = tuple((shape, tuple(coeffs)) for shape, coeffs in dense)
+                system = tuple(
+                    (shape, tuple(_countpure._dense_columns(shape, data)))
+                    if _countpure._is_columns(shape, data)
+                    else (shape, tuple(data))
+                    for shape, data in dense
+                )
             key = ("count", system, q, first)
             n = memo.get(key)
             if n is None:

@@ -9,24 +9,25 @@ deletion-contraction routes are independent, so each is the other's oracle.
 Z_G has one monomial q^k(A) t^A per edge subset A, and both routes build
 the list of k(A) in the order of product((0, 1), repeat=E) (_subset_terms,
 in mpoly).  That order is all they share; the tests' surgery recursion and
-perfbench's union-find check it.  The subset routes walk the subsets edge
-by edge (`_subsets`), the forest routes the same walk cut at the first
-cycle.  tutte_delcon never enumerates subsets: it recurses on subgraphs,
-joins lists, and memoises them on a structure-only key for one top-level
-call.  Its Z_G leaves as that k-list (mpoly._subset_poly), whose terms are
-built on first read; the subset routes, the reference, build through
-MPoly(...).  Between calls tutte_delcon keeps nothing, except inside a
-`potts verify` run (see _runmemo).  Every route refuses a graph with more
-than DEFAULT_EDGE_BUDGET edges (check_edge_budget).
+perfbench's union-find check it.  Their independence lies in how each
+computes its list.  The subset routes walk the subsets edge by edge
+(`_subsets`), the forest routes the same walk cut at the first cycle.
+tutte_delcon never enumerates subsets: it recurses on subgraphs, joins
+lists, and memoises them on a structure-only key for one top-level call.
+Both routes' Z_G leave as that k-list (mpoly._subset_poly), and so do the
+polynomials derived from it by list passes: its q-quotients, its lowest
+part and the two halves of the connecting split, where a subset with no
+monomial is a hole.  Their terms are built on first read; the forest routes
+keep their sparse dicts.  Between calls tutte_delcon keeps nothing, except
+inside a `potts verify` run (see _runmemo).  Every route refuses a graph
+with more than DEFAULT_EDGE_BUDGET edges (check_edge_budget).
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 from . import _runmemo
 from .errors import InvalidArgumentError, ResourceLimitError
-from .mpoly import MPoly, Q, _subset_poly, _subset_terms, var_sort_key
+from .mpoly import MPoly, Q, _packed, _subset_poly, var_sort_key
 from .multigraph import MultiGraph
 
 DEFAULT_EDGE_BUDGET = 20
@@ -89,12 +90,18 @@ def _subsets(vertex_count: int, edges, acyclic: bool = False) -> list:
     return [k for k, _ in states]
 
 
+def _z_poly(names: tuple, ks: list[int], vertex_count: int) -> MPoly:
+    # given a vertex, every subset has k >= 1, so every variable occurs;
+    # with no vertex there is no edge and q does not occur
+    return _subset_poly(names, ks) if vertex_count else _packed(names, ks)
+
+
 def tutte_poly(g: MultiGraph) -> MPoly:
     """Z_G(q, t) as the sum over edge subsets A of q^k(A) * prod_{e in A} t_e,
     components counted on the full vertex set."""
     edges = _ordered_edges(g.edges)
-    terms = _subset_terms(_subsets(g.vertex_count, edges), len(edges))
-    return MPoly(("q",) + _edge_names(edges), terms)
+    ks = _subsets(g.vertex_count, edges)
+    return _z_poly(("q",) + _edge_names(edges), ks, g.vertex_count)
 
 
 def _canonical(edges, gone: int = -1, keep: int = -1) -> tuple:
@@ -163,12 +170,7 @@ def _delcon(g: MultiGraph) -> MPoly:
 
     ks = z(g.vertex_count, _canonical((u, v) for _, u, v in edges))
     memo.clear()  # z's closure keeps the memo alive until a collection
-    names = ("q",) + _edge_names(edges)
-    # given a vertex, every subset has k >= 1, so every variable occurs;
-    # with no vertex q does not occur
-    if g.vertex_count:
-        return _subset_poly(names, ks)
-    return MPoly(names, _subset_terms(ks, len(edges)))
+    return _z_poly(("q",) + _edge_names(edges), ks, g.vertex_count)
 
 
 def normalized_tutte(g: MultiGraph) -> MPoly:
@@ -247,23 +249,22 @@ def connecting_split(g: MultiGraph, edge_id: str) -> tuple[MPoly, MPoly]:
     the endpoints of e and the part where it does not.
 
     With (Zc, Zn) the return value: Z_{G-e} = Zc + Zn and
-    Z_{G/e} = Zc + Zn/q, both exactly.
+    Z_{G/e} = Zc + Zn/q, both exactly.  Each half is the k-list of
+    Z_{G-e} with the other half's subsets as holes; an edge parallel to e
+    never occurs in Zn, and Zc is 0 when e is a bridge.
     """
     u, v = g.endpoints(edge_id)
     if u == v:
         raise InvalidArgumentError("the connecting split needs a non-loop edge")
     rest = _ordered_edges(e for e in g.edges if e[0] != edge_id)
     ks = _subsets(g.vertex_count, rest + ((edge_id, u, v),))
-    connecting: dict = {}
-    non_connecting: dict = {}
     # each A in E - {e} comes right before A + {e}; adding e leaves the
     # component count unchanged exactly when A already connects u and v
-    pairs = zip(ks[::2], ks[1::2], product((0, 1), repeat=len(rest)))
-    for k, k_with, chosen in pairs:
-        side = connecting if k_with == k else non_connecting
-        side[(k,) + chosen] = 1
+    without, with_e = ks[::2], ks[1::2]
+    connecting = [k if k == w else -1 for k, w in zip(without, with_e)]
+    non_connecting = [-1 if k == w else k for k, w in zip(without, with_e)]
     names = ("q",) + _edge_names(rest)
-    return MPoly(names, connecting), MPoly(names, non_connecting)
+    return _packed(names, connecting), _packed(names, non_connecting)
 
 
 def split_residual_poly(g: MultiGraph, edge_id: str) -> MPoly:

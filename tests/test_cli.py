@@ -64,19 +64,53 @@ def test_z_14_edges_prints_the_pinned_bytes(runner):
     assert digest == "f877ef14db33f9560013e8093e12a24abfe344a6"
 
 
-def test_z_20_edges_prints_the_pinned_bytes():
-    # 2^20 terms, at the symbolic budget; in a child process, so that its
-    # peak memory leaves with it
+@pytest.mark.parametrize(
+    "which, digest",
+    [
+        ("z_tilde", "20e46a048cec468d7baeb1dc8e8dd437a7ee88ce"),
+        ("p_leading", "2888a9343e9c5bba21e2d3fd993de4df4a01dc86"),
+        ("q_reduced", "7e5608b529aeaece2a77350545e11a31595140df"),
+    ],
+)
+def test_derived_z_14_edges_print_the_pinned_bytes(runner, which, digest):
+    # the q-quotient, the lowest part (with holes and a loop compacted away)
+    # and both, printed from their k-lists
+    result = runner.invoke(
+        cli,
+        ["z", "--family", "chain-polygon", "--m", "3", "--k", "1", "--N", "3", "--which", which],
+    )
+    assert result.exit_code == 0
+    assert hashlib.sha1(result.stdout_bytes).hexdigest() == digest
+
+
+def _run_module(module, *args):
+    # in a child process, so that its peak memory leaves with it
     src = str(Path(pottsmotive.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    out = subprocess.run(
-        [sys.executable, "-m", "pottsmotive.cli", "z", "--family", "polygon", "--m", "19"],
-        env=env,
-        capture_output=True,
-        check=True,
+    return subprocess.run(
+        [sys.executable, "-m", module, *args], env=env, capture_output=True, check=True
     ).stdout
+
+
+def test_z_20_edges_prints_the_pinned_bytes():
+    # 2^20 terms, at the symbolic budget
+    out = _run_module("pottsmotive.cli", "z", "--family", "polygon", "--m", "19")
     assert hashlib.sha1(out).hexdigest() == "6da402505deaef55380c6fb7307b0a8457002793"
+
+
+def test_leading_part_at_20_edges_prints_the_pinned_bytes():
+    out = _run_module(
+        "pottsmotive.cli", "z", "--family", "polygon", "--m", "19", "--which", "p_leading"
+    )
+    assert hashlib.sha1(out).hexdigest() == "295dd90b4a85c70061d0d91d9e97c9aa41ec6754"
+
+
+def test_package_runs_as_a_module():
+    out = _run_module("pottsmotive", "z", "--family", "polygon", "--m", "2")
+    assert out == (
+        b"q*t1*t2*t3 + q^3 + q^2*t1 + q^2*t2 + q^2*t3 + q*t1*t2 + q*t1*t3 + q*t2*t3\n"
+    )
 
 
 def test_z_from_file(runner, tmp_path):

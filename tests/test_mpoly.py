@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pottsmotive.errors import ExactDivisionError, InvalidArgumentError
-from pottsmotive.mpoly import MPoly, Q, _subset_poly, edge_var
+from pottsmotive.mpoly import MPoly, Q, _packed, _subset_poly, edge_var
 
 T1 = edge_var("1")
 T2 = edge_var("2")
@@ -303,3 +303,57 @@ def test_render_matches_the_appending_printer(terms, big):
 def test_subset_render_matches_the_appending_printer(p):
     # render() of a k-list poly reads the list, the reference its terms
     assert p.render() == _render_by_appending(p)
+
+
+# -- k-lists with holes --------------------------------------------------------
+
+
+@st.composite
+def k_lists(draw):
+    """Edge variables and a list over their subsets with entries from -1 (a
+    hole) to 3, so that q or an edge variable may not occur."""
+    names = draw(st.lists(st.sampled_from(VARIABLES[1:]), unique=True))
+    names = ("q",) + tuple(n for n in VARIABLES[1:] if n in names)
+    size = 2 ** (len(names) - 1)
+    return names, draw(st.lists(st.integers(-1, 3), min_size=size, max_size=size))
+
+
+@given(k_lists())
+@settings(max_examples=300, deadline=None)
+def test_packed_readers_and_passes_match_the_rebuild(assert_packed, lists):
+    names, ks = lists
+    assert_packed(lambda: _packed(names, list(ks)))
+
+
+@given(k_lists(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_packed_sums_match_the_rebuild(assert_packed_sum, lists, data):
+    names, ks = lists
+    size = len(ks)
+    other = data.draw(st.lists(st.integers(-1, 3), min_size=size, max_size=size))
+    # a hole wherever ks has a monomial makes the supports disjoint
+    apart = [-1 if k >= 0 else o for k, o in zip(ks, other)]
+    a = _packed(names, ks)
+    for b in (_packed(names, apart), _packed(names, other)):
+        assert_packed_sum(a, b)
+
+
+def test_packed_compacts_and_falls_back():
+    # t1 has no monomial: compacted away
+    p = _packed(("q", "t1", "t2"), [2, 1, -1, -1])
+    assert p.variables == ("q", "t2") and p._ks == [2, 1]
+    assert p == Q**2 + Q * edge_var("2")
+    # no entry above 0: q drops, and the poly is plain
+    p = _packed(("q", "t1"), [0, -1])
+    assert p._ks is None and p == MPoly.const(1)
+    assert _packed(("q", "t1"), [-1, -1]).is_zero
+    # a monomial without q prints without a leading "*"
+    assert str(_packed(("q", "t1", "t2"), [1, 0, 0, -1])) == "q + t1 + t2"
+    assert str(_packed(("q", "t1"), [0, 1])) == "q*t1 + 1"
+
+
+def test_divide_of_a_k_list_names_the_first_term_it_cannot_divide():
+    p = _packed(("q", "t1", "t2"), [-1, 2, 1, 3])
+    with pytest.raises(ExactDivisionError, match=re.escape("the term (1, 1, 0)")):
+        p.divide_exact_by_q_power(2)
+    assert p.divide_exact_by_q_power(1) == _packed(("q", "t1", "t2"), [-1, 1, 0, 2])

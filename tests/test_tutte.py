@@ -458,3 +458,80 @@ def test_delcon_edge_cases_match_subsets(g):
     assert z == tutte_poly(g)  # equal variables and equal terms
     again = MPoly(z.variables, z.terms)
     assert (again.variables, again.terms) == (z.variables, z.terms)
+
+
+# Every packed poly of this module (both routes to Z_G, its q-quotient, its
+# lowest parts and the connecting halves) against a validated rebuild: the
+# readers, the list passes, the dense conversion and the sums of the split.
+
+
+def _assert_packed_polys_agree(g, links, assert_packed, assert_packed_sum):
+    makers = [
+        lambda: tutte_poly(g),
+        lambda: tutte_delcon(g),
+        lambda: normalized_tutte(g),
+        lambda: leading_part(g),
+        lambda: reduced_leading_part(g),
+    ]
+    for eid in links:
+        makers += [
+            lambda eid=eid: connecting_split(g, eid)[0],
+            lambda eid=eid: connecting_split(g, eid)[1],
+            lambda eid=eid: connecting_split(g, eid)[1].divide_exact_by_q_power(1),
+        ]
+    for make in makers:
+        assert_packed(make)
+    z = tutte_delcon(g)
+    assert_packed_sum(z, leading_part(g))
+    for eid in links:
+        zc, zn = connecting_split(g, eid)
+        assert_packed_sum(zc, zn)
+        assert_packed_sum(Q * zc, zn)
+        assert_packed_sum(zc, zc)
+
+
+@given(multigraphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_polys_agree_with_their_rebuilds(
+    assert_packed, assert_packed_sum, g, data
+):
+    links = [eid for eid, u, v in g.edges if u != v]
+    chosen = [data.draw(st.sampled_from(links))] if links else []
+    _assert_packed_polys_agree(g, chosen, assert_packed, assert_packed_sum)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        MultiGraph(0, ()),
+        MultiGraph(1, (("1", 0, 0), ("2", 0, 0))),
+        MultiGraph(3, (("1", 1, 1), ("2", 2, 2), ("3", 1, 1))),
+        MultiGraph(4, (("1", 0, 1),)),
+        MultiGraph(2, ()),
+        MultiGraph(
+            300,
+            (("1", 0, 5), ("2", 5, 299), ("3", 299, 0), ("4", 0, 299), ("5", 150, 150)),
+        ),
+    ],
+    ids=["no-vertex", "loops", "loops-and-isolated", "isolated", "no-edge", "300-vertices"],
+)
+def test_packed_polys_agree_on_edge_cases(assert_packed, assert_packed_sum, g):
+    links = [eid for eid, u, v in g.edges if u != v]
+    _assert_packed_polys_agree(g, links, assert_packed, assert_packed_sum)
+
+
+def test_derived_polys_stay_packed():
+    # a loop and a parallel pair: the lowest part drops the loop, Zn the
+    # edge parallel to the split one, and Zc is 0 at a bridge
+    g = MultiGraph(3, (("1", 0, 1), ("2", 0, 1), ("3", 1, 2), ("4", 2, 2)))
+    lead = leading_part(g)
+    assert lead._ks is not None and lead.variables == ("q", "t1", "t2", "t3")
+    reduced = reduced_leading_part(g)
+    assert reduced._ks is not None and reduced == lead.divide_exact_by_q_power(1)
+    assert normalized_tutte(g)._ks is not None
+    zc, zn = connecting_split(g, "1")
+    assert zc._ks is not None and zn._ks is not None
+    assert zn.variables == ("q", "t3", "t4")
+    assert (Q * zc + zn)._ks is not None
+    bridge_zc, _ = connecting_split(g, "3")
+    assert bridge_zc.is_zero

@@ -78,9 +78,9 @@ def test_fixed_q_independence_check_reports_differing_counts(monkeypatch):
 
 def test_full_run_shares_its_counts_and_z_builds(monkeypatch, kernel_calls):
     # pinned so that any change in sharing shows up: each check run alone
-    # makes 1,132 kernel counts and 670 Z_G builds.  13 of the 496 counts
-    # repeat a count of four small Z_G (of 0, 1 and 2 edges) that reach the
-    # kernel once as exponent columns and once dense, under different keys
+    # makes 1,132 kernel counts and 670 Z_G builds.  A system is keyed in
+    # dense form, so a Z_G that reaches the kernel once as exponent columns
+    # and once dense shares one count
     builds = []
     delcon = tutte._delcon
 
@@ -90,7 +90,7 @@ def test_full_run_shares_its_counts_and_z_builds(monkeypatch, kernel_calls):
 
     monkeypatch.setattr(tutte, "_delcon", counted)
     verify.run_suite("all", 5)
-    assert (len(kernel_calls), len(builds)) == (496, 83)
+    assert (len(kernel_calls), len(builds)) == (483, 83)
 
 
 def _two_counters(z, ambient_dim, **kwargs):
