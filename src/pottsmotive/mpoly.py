@@ -25,8 +25,11 @@ Z_G, its q-quotients, its lowest part and the two halves of the connecting
 split are such polys.  Their terms slot stays unset, and __getattr__ builds
 it (_subset_terms) on the first read and keeps it.  The list passes build
 subset polys from subset polys with no terms dict: divide_exact_by_q_power
-and Q * p shift the list, lowest_homogeneous_part keeps the entries of least
-k + |A|, a sum of two with disjoint supports merges the lists, and
+shifts the list, lowest_homogeneous_part keeps the entries of least k + |A|,
+the product with a unit monomial q^a t^B whose edge variables B the poly
+lacks shifts the list by a and widens it (_monomial_product; Q * p is its
+case B empty), a sum of two with disjoint supports merges the lists, each
+widened over the other's variables by slice copies (_widen), and
 substitute("q", c) makes the sparse dict in one pass.  _packed compacts
 away an edge variable left with no monomial and falls back to a plain poly
 when q drops out.  render, ==, bool, is_zero, the degree queries and
@@ -192,10 +195,14 @@ class MPoly:
             if not other:
                 return MPoly.zero()
             return _mpoly(self.variables, {e: c * other for e, c in self.terms.items()})
-        if self._ks is not None and _is_q(other):
-            return _subset_poly(self.variables, _shift(self._ks, 1))
-        if other._ks is not None and _is_q(self):
-            return _subset_poly(other.variables, _shift(other._ks, 1))
+        if self._ks is not None:
+            out = _monomial_product(self, other)
+            if out is not None:
+                return out
+        if other._ks is not None:
+            out = _monomial_product(other, self)
+            if out is not None:
+                return out
         if not self.terms or not other.terms:
             return MPoly.zero()
         names, a, b = self._aligned(other)
@@ -432,10 +439,6 @@ def _shift(ks: list[int], d: int) -> list[int]:
     return list(map(d.__add__, ks))
 
 
-def _is_q(p: MPoly) -> bool:
-    return p.variables == ("q",) and p.terms == {(1,): 1}
-
-
 def _subset_degrees(ks: list[int]) -> list[int]:
     """k + |A| for each entry of ks, aligned with it; a hole reads |A| - 1,
     so read it through _present."""
@@ -447,19 +450,60 @@ def _present(values, ks: list[int]):
     return compress(values, map((-1).__ne__, ks)) if -1 in ks else values
 
 
-def _widen(ks: list[int], names: tuple, wide: tuple) -> list[int]:
+def _widen(ks: list[int], names: tuple, wide: tuple, bit: int = 0) -> list[int]:
     """The k-list over names as a k-list over wide, which holds every name
-    in the same order: a subset with an edge outside names is a hole."""
+    in the same order.  Each edge e of wide outside names splits every
+    subset A into A and A + {e}: the entry goes to A + {e} when bit is 1 and
+    to A when it is 0, and the other is a hole.  With s the subsets of the
+    edges after e, a run of s entries that agree on the edges before e lands
+    at offset bit * s of a block of 2s, beside s holes; whichever of the
+    runs and the offsets are fewer, one slice copy each places them."""
     if names == wide:
         return ks
     present = set(names)
-    index = [0]  # per subset of wide's edges so far: its index over names, or -1
+    after = len(names) - 1  # the edges of names after the current one
     for name in wide[1:]:
         if name in present:
-            index = [2 * i + b if i >= 0 else -1 for i in index for b in (0, 1)]
+            after -= 1
+            continue
+        n, s = len(ks), 1 << after
+        at = bit * s
+        out = [-1] * (2 * n)
+        if s * s <= n:
+            for r in range(s):
+                out[at + r :: 2 * s] = ks[r::s]
         else:
-            index = [x for i in index for x in (i, -1)]
-    return [ks[i] if i >= 0 else -1 for i in index]
+            for i in range(0, n, s):
+                out[2 * i + at : 2 * i + at + s] = ks[i : i + s]
+        ks = out
+    return ks
+
+
+def _monomial_product(p: MPoly, m: MPoly) -> MPoly | None:
+    """p * m for a subset poly p and a unit monomial m = q^a t^B whose edge
+    variables B p lacks, as one list pass: a subset without all of B is a
+    hole, and one with all of B takes p's entry for the rest plus a.  None
+    for any other m: a coefficient other than 1, an edge variable of p or
+    one with an exponent above 1, or more than one term."""
+    terms = m.terms
+    if len(terms) != 1:
+        return None
+    ((exps, c),) = terms.items()
+    if c != 1:
+        return None
+    a, added = 0, ()
+    for name, e in zip(m.variables, exps):
+        if name == "q":
+            a = e
+        elif e != 1 or name in p.variables:
+            return None
+        else:
+            added += (name,)
+    wide = p.variables
+    if added:
+        wide = ("q",) + tuple(sorted(wide[1:] + added, key=var_sort_key))
+    ks = _shift(p._ks, a) if a else p._ks
+    return _subset_poly(wide, _widen(ks, p.variables, wide, 1))
 
 
 def _merge_subsets(a: MPoly, b: MPoly) -> MPoly | None:

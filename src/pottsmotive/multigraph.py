@@ -6,6 +6,12 @@ Edge ids are arbitrary string tokens that survive unchanged through surgery
 on other edges; they name the polynomial variables, so identity matters.
 Vertices are dense indices 0..V-1, renumbered canonically after contraction
 (the merge keeps the smaller index).
+
+MultiGraph(...) validates its input: it converts each edge to (str, int,
+int) and refuses an endpoint out of range or a repeated id.  Deletion and
+contraction of a valid graph give a valid graph, so they build their
+results through the trusted constructor _multigraph, which skips that;
+every other surgery and constructor validates.
 """
 
 from __future__ import annotations
@@ -116,11 +122,10 @@ class MultiGraph:
     # -- surgeries ----------------------------------------------------------
 
     def delete_edge(self, edge_id: str) -> "MultiGraph":
-        if not self.has_edge(edge_id):
+        edges = tuple(e for e in self.edges if e[0] != edge_id)
+        if len(edges) == len(self.edges):
             raise EdgeNotFoundError(edge_id)
-        return MultiGraph(
-            self.vertex_count, tuple(e for e in self.edges if e[0] != edge_id)
-        )
+        return _multigraph(self.vertex_count, edges)
 
     def contract_edge(self, edge_id: str) -> "MultiGraph":
         """Merge the endpoints and drop the edge; a loop contracts as a
@@ -138,7 +143,7 @@ class MultiGraph:
         edges = tuple(
             (eid, renum(a), renum(b)) for eid, a, b in self.edges if eid != edge_id
         )
-        return MultiGraph(self.vertex_count - 1, edges)
+        return _multigraph(self.vertex_count - 1, edges)
 
     def split_edge(self, edge_id: str, m: int) -> "MultiGraph":
         """Replace the edge by a chain of m edges (m = 1 is the identity,
@@ -173,6 +178,18 @@ class MultiGraph:
         u, v = self.endpoints(edge_id)
         added = tuple((f"{edge_id}p{i}", u, v) for i in range(1, extra + 1))
         return MultiGraph(self.vertex_count, self.edges + added)
+
+
+def _multigraph(vertex_count: int, edges: tuple) -> MultiGraph:
+    """A MultiGraph that takes `vertex_count` and `edges` as they are: no
+    str() or int() of the entries, no range check and no duplicate check.
+    The caller guarantees what __post_init__ would establish: edges is a
+    tuple of (str, int, int) tuples with distinct ids and every endpoint
+    below vertex_count, as deletion and contraction leave a valid graph."""
+    g = object.__new__(MultiGraph)
+    object.__setattr__(g, "vertex_count", vertex_count)
+    object.__setattr__(g, "edges", edges)
+    return g
 
 
 # -- constructors ------------------------------------------------------------

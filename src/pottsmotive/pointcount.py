@@ -72,14 +72,6 @@ def _budget() -> int:
         ) from None
 
 
-def _check_budget(q: int, ambient_dim: int) -> None:
-    cap = _budget()
-    if q**ambient_dim > cap:
-        raise ResourceLimitError(
-            f"{q}^{ambient_dim} points exceeds the budget of {cap}"
-        )
-
-
 def _dense_system(polys: Sequence[MPoly]):
     """Convert polynomials to the kernel's input forms over the union of
     their variables in canonical order (q outermost).  A subset poly
@@ -136,7 +128,8 @@ def complement_counter(
     the element of F_q that q is fixed to, and the kernel fixes it there.
     The polynomials are converted to the kernel's input forms once, here
     (_dense_system), so that every field of a report counts the same
-    system; a field is checked when it is counted.
+    system; a field is checked when it is counted.  POTTS_BUDGET is read
+    once, here, and each count refuses a q^ambient_dim above it.
 
     Inside a `potts verify` run, a kernel count is kept, keyed by the
     converted system in dense form (each (shape, data) with data as a tuple,
@@ -156,12 +149,16 @@ def complement_counter(
         raise InvalidArgumentError(
             f"{free} variables do not fit in ambient dimension {ambient_dim}"
         )
+    cap = _budget()
     system = None  # the memo key, made on the first count in a run
 
     def complement(q: int, element: int | None = None) -> int:
         nonlocal system
         _check_fields((q,))
-        _check_budget(q, ambient_dim)
+        if q**ambient_dim > cap:
+            raise ResourceLimitError(
+                f"{q}^{ambient_dim} points exceeds the budget of {cap}"
+            )
         if not dense:
             return 0
         first = element if sliced else None

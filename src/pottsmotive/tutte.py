@@ -17,10 +17,12 @@ lists, and memoises them on a structure-only key for one top-level call.
 Both routes' Z_G leave as that k-list (mpoly._subset_poly), and so do the
 polynomials derived from it by list passes: its q-quotients, its lowest
 part and the two halves of the connecting split, where a subset with no
-monomial is a hole.  Their terms are built on first read; the forest routes
-keep their sparse dicts.  Between calls tutte_delcon keeps nothing, except
-inside a `potts verify` run (see _runmemo).  Every route refuses a graph
-with more than DEFAULT_EDGE_BUDGET edges (check_edge_budget).
+monomial is a hole, and so does leading_part_by_forests, whose list holds
+the forests.  Their terms are built on first read; forest_poly and
+forest_complement_poly keep their sparse dicts.  Between calls neither
+tutte_delcon nor the subset walk keeps anything, except inside a `potts
+verify` run (see _runmemo).  Every route refuses a graph with more than
+DEFAULT_EDGE_BUDGET edges (check_edge_budget).
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .mpoly import MPoly, Q, _packed, _subset_poly, var_sort_key
 from .multigraph import MultiGraph
 
 DEFAULT_EDGE_BUDGET = 20
+# a forest's indicator bytes 0/1 as the ASCII digits of its index
+_BINARY = bytes.maketrans(b"\0\1", b"01")
 
 
 def check_edge_budget(edge_count: int) -> None:
@@ -52,18 +56,36 @@ def _edge_names(edges) -> tuple[str, ...]:
     return tuple("t" + eid for eid, _, _ in edges)
 
 
-def _subsets(vertex_count: int, edges, acyclic: bool = False) -> list:
+def _subsets(vertex_count: int, edges: tuple, acyclic: bool = False) -> list:
     """k(A) for every subset A of `edges`, in the order in which
     product((0, 1), repeat=len(edges)) yields A's indicators, components
-    counted on all vertex_count vertices.
+    counted on all vertex_count vertices; with `acyclic`, (k(A), indicator
+    of A as bytes 0/1) for every forest A, in the same order (_walk).
+
+    Callers only read the list.  Inside a `potts verify` run it is kept,
+    keyed by ("walk", vertex_count, edges, acyclic), and a later call with
+    an equal key returns the same list until the run ends; outside a run
+    every call walks afresh (see _runmemo)."""
+    check_edge_budget(len(edges))
+    memo = _runmemo.current
+    if memo is None:
+        return _walk(vertex_count, edges, acyclic)
+    key = ("walk", vertex_count, edges, acyclic)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _walk(vertex_count, edges, acyclic)
+    return out
+
+
+def _walk(vertex_count: int, edges: tuple, acyclic: bool) -> list:
+    """_subsets' list, built afresh.
 
     The walk runs edge by edge over states (k, labels).  Only the vertices
     an edge touches get a label, a byte from 2 up (at most 40), so an edge
     merges two labels by one bytes.replace; each untouched vertex stays a
     component.  With `acyclic` it never adds an edge inside a component, so
-    it visits exactly the forests (a subset of a forest is one), spells A
-    in bytes 0/1 after the labels, and returns (k(A), indicator of A)."""
-    check_edge_budget(len(edges))
+    it visits exactly the forests (a subset of a forest is one) and spells A
+    in bytes 0/1 after the labels."""
     slot: dict[int, int] = {}
     for _, u, v in edges:
         slot.setdefault(u, len(slot))
@@ -86,7 +108,7 @@ def _subsets(vertex_count: int, edges, acyclic: bool = False) -> list:
                 grown.append((k, labels))
         states = grown
     if acyclic:
-        return [(k, tuple(labels[width:])) for k, labels in states]
+        return [(k, labels[width:]) for k, labels in states]
     return [k for k, _ in states]
 
 
@@ -232,10 +254,14 @@ def leading_part(g: MultiGraph) -> MPoly:
 
 def leading_part_by_forests(g: MultiGraph) -> MPoly:
     """Independent route to leading_part: the sum over all spanning forests
-    (every acyclic subset contributes degree V, everything else more)."""
+    (every acyclic subset contributes degree V, everything else more).  It
+    leaves as the k-list with k(A) at each forest A, whose indicator read
+    in binary is its index, and a hole at every other subset."""
     edges, forests = _forests(g)
-    terms = {(k,) + chosen: 1 for k, chosen in forests}
-    return MPoly(("q",) + _edge_names(edges), terms)
+    ks = [-1] * (1 << len(edges))
+    for k, chosen in forests:
+        ks[int(chosen.translate(_BINARY) or b"0", 2)] = k
+    return _packed(("q",) + _edge_names(edges), ks)
 
 
 def reduced_leading_part(g: MultiGraph) -> MPoly:

@@ -10,14 +10,16 @@ same thunks under the same names.  The registry is lazy: a value that
 several checks of one graph take as an argument (such as its Z_G) is made
 between them, outside the thunks.  All checks are deterministic.
 
-Many checks rebuild the same Z_G or repeat the same count: a graph's Z_G
-recurs in every edge's deletion-contraction check, and a subgraph's in the
-checks of its parent.  For the length of one `run_suite` call, the memo of
-_runmemo shares both: each graph's Z_G and each kernel count of a
-pointcount.complement_counter (converted system, field, fixed element) are made
-once per run.  It is not process-wide: it ends with the run, even when the
-run raises, so the tests that run the thunks one by one, or that swap in
-the reference counter, count afresh.
+Many checks rebuild the same Z_G, walk the same edge subsets or repeat the
+same count: a graph's Z_G recurs in every edge's deletion-contraction check,
+a subgraph's in the checks of its parent, and a graph's subset walk in its
+subset, forest and connecting-split checks.  For the length of one
+`run_suite` call, the memo of _runmemo shares all three: each graph's Z_G,
+each walk of tutte._subsets (vertex count, edge list, acyclic) and each
+kernel count of a pointcount.complement_counter (converted system, field,
+fixed element) are made once per run.  It is not process-wide: it ends
+with the run, even when the run raises, so the tests that run the thunks
+one by one, or that swap in the reference counter, count afresh.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ def _check(results: list, name: str, fn) -> None:
 
 
 def _eq(a, b) -> tuple[bool, str]:
-    return (a == b, f"{a} vs {b}" if a != b else "equal")
+    ok = a == b
+    return ok, "equal" if ok else f"{a} vs {b}"
 
 
 # -- suite: tutte ---------------------------------------------------------------

@@ -517,6 +517,16 @@ def test_malformed_budget_exit_2(runner, monkeypatch):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_malformed_budget_exits_2_from_verify(runner, monkeypatch):
+    # the oracle suite builds its counters between checks, and a counter
+    # reads the budget when it is built
+    monkeypatch.setenv("POTTS_BUDGET", "1e8")
+    result = runner.invoke(cli, ["verify", "--suite", "oracle", "--max-dim", "2"])
+    assert result.exit_code == 2
+    assert "POTTS_BUDGET must be a decimal integer" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_oracle_mismatch_exit_4(runner, monkeypatch):
     import pottsmotive.cli as cli_mod
 

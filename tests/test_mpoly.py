@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pottsmotive.errors import ExactDivisionError, InvalidArgumentError
-from pottsmotive.mpoly import MPoly, Q, _packed, _subset_poly, edge_var
+from pottsmotive.mpoly import MPoly, Q, _packed, _subset_poly, _widen, edge_var
 
 T1 = edge_var("1")
 T2 = edge_var("2")
@@ -357,3 +357,123 @@ def test_divide_of_a_k_list_names_the_first_term_it_cannot_divide():
     with pytest.raises(ExactDivisionError, match=re.escape("the term (1, 1, 0)")):
         p.divide_exact_by_q_power(2)
     assert p.divide_exact_by_q_power(1) == _packed(("q", "t1", "t2"), [-1, 1, 0, 2])
+
+
+# -- products with a unit monomial, and widening -------------------------------
+
+# edge names that sort before, between and after those of VARIABLES, "t2"
+# before "t10" in the numeric-aware order, and two that VARIABLES shares
+MONOMIAL_NAMES = ("t0", "t1", "t2", "t5", "t10", "t11")
+
+
+@st.composite
+def monomials(draw):
+    """c q^a t^B, mostly with c = 1 and exponents 1 (the list pass), else
+    one of the products that take the generic path."""
+    a = draw(st.integers(0, 2))
+    names = draw(st.lists(st.sampled_from(MONOMIAL_NAMES), unique=True, max_size=3))
+    exps = tuple(draw(st.sampled_from((1, 1, 1, 2))) for _ in names)
+    c = draw(st.sampled_from((1, 1, 1, -1, 2)))
+    return MPoly(("q",) + tuple(names), {(a,) + exps: c})
+
+
+def _list_pass_applies(p, m):
+    # p packed, m one term with coefficient 1, each edge variable new to p
+    # and of exponent 1
+    if p._ks is None or len(m.terms) != 1:
+        return False
+    ((exps, c),) = m.terms.items()
+    edges = [(n, e) for n, e in zip(m.variables, exps) if n != "q"]
+    return c == 1 and all(e == 1 and n not in p.variables for n, e in edges)
+
+
+def _assert_product(assert_packed, make, m):
+    p, r = make(), make()
+    r = MPoly(r.variables, dict(r.terms))
+    fast = _list_pass_applies(p, m)
+    for mine, reference in ((p * m, r * m), (m * p, m * r)):
+        assert mine == reference and reference == mine
+        assert mine.variables == reference.variables
+        assert mine.render() == reference.render()
+        assert (mine._ks is not None) == fast
+        again = MPoly(mine.variables, dict(mine.terms))
+        assert (again.variables, again.terms) == (mine.variables, mine.terms)
+    if fast:
+        assert_packed(lambda: make() * m)
+
+
+@given(k_lists(), monomials())
+@settings(max_examples=300, deadline=None)
+def test_monomial_products_match_the_rebuild(assert_packed, lists, m):
+    names, ks = lists
+    _assert_product(assert_packed, lambda: _packed(names, list(ks)), m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        edge_var("5"),
+        Q**2 * edge_var("0") * edge_var("11"),
+        MPoly.const(1),
+        _packed(("q", "t5"), [-1, 1]),  # a packed monomial
+        _subset_poly(("q",), [2]),
+        2 * edge_var("5"),  # coefficient
+        -edge_var("5"),
+        MPoly.const(3),
+        edge_var("5") ** 2,  # exponent above 1
+        edge_var("1"),  # a variable the poly has
+        Q * edge_var("2") * edge_var("5"),
+        edge_var("5") + 1,  # two terms
+        _packed(("q", "t5"), [1, 1]),
+    ],
+    ids=[
+        "t5", "q2-t0-t11", "one", "packed-q-t5", "packed-q2", "coefficient-2",
+        "coefficient-minus-1", "constant-3", "t5-squared", "shared-t1",
+        "shared-t2", "two-terms", "packed-two-terms",
+    ],
+)
+def test_monomial_product_and_its_fallbacks(assert_packed, m):
+    # every entry kind: a hole, a monomial without q, and q^2
+    _assert_product(assert_packed, lambda: _packed(("q", "t1", "t2"), [1, -1, 0, 2]), m)
+
+
+def _widen_per_entry(ks, names, wide, bit):
+    # the index of each subset of wide over names, built entry by entry
+    present = set(names)
+    index = [0]
+    for name in wide[1:]:
+        if name in present:
+            index = [2 * i + b if i >= 0 else -1 for i in index for b in (0, 1)]
+        else:
+            pair = (-1, 0) if bit else (0, -1)
+            index = [i if p == 0 else -1 for i in index for p in pair]
+    return [ks[i] if i >= 0 else -1 for i in index]
+
+
+@st.composite
+def widenings(draw):
+    """A k-list over some of up to 7 edge names and the names it widens to,
+    with one inserted name or several."""
+    pool = ("t0", "t1", "t2", "t5", "t10", "t11", "tx")
+    wide = tuple(n for n in pool if draw(st.booleans()))
+    names = tuple(n for n in wide if draw(st.booleans()))
+    size = 2 ** len(names)
+    ks = draw(st.lists(st.integers(-1, 3), min_size=size, max_size=size))
+    return ks, ("q",) + names, ("q",) + wide
+
+
+@given(widenings(), st.sampled_from((0, 1)))
+@settings(max_examples=300, deadline=None)
+def test_widen_matches_the_per_entry_widening(widening, bit):
+    ks, names, wide = widening
+    assert _widen(list(ks), names, wide, bit) == _widen_per_entry(ks, names, wide, bit)
+
+
+@pytest.mark.parametrize("inserted", [(0,), (3,), (7,), (0, 7), (1, 4, 6), (0, 2, 3, 5)])
+@pytest.mark.parametrize("bit", [0, 1])
+def test_widen_inserts_runs_and_offsets(inserted, bit):
+    # 8 names, so that both the copy per run and the copy per offset occur
+    wide = ("q",) + tuple(f"t{i}" for i in range(8))
+    names = tuple(n for i, n in enumerate(wide) if i - 1 not in inserted)
+    ks = list(range(2 ** (len(names) - 1)))
+    assert _widen(ks, names, wide, bit) == _widen_per_entry(ks, names, wide, bit)

@@ -127,8 +127,31 @@ def test_complement_plus_zeros_is_everything():
 
 def test_budget_env(monkeypatch):
     monkeypatch.setenv("POTTS_BUDGET", "8")
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"^3\^2 points exceeds the budget of 8$"):
         complement_counter([LOOP_Z], 2)(3)
+
+
+def test_a_report_reads_the_budget_once_per_counter(monkeypatch):
+    reads = []
+    budget = pointcount._budget
+
+    def counted():
+        reads.append(1)
+        return budget()
+
+    monkeypatch.setattr(pointcount, "_budget", counted)
+    # the plan reads it once, and so does the one counter of its 5 fields
+    complement_report(tutte_delcon(banana(3)), 4)
+    assert len(reads) == 2
+    reads.clear()
+    fixed_q_report(tutte_delcon(banana(2)), 2, 2)
+    assert len(reads) == 2
+    reads.clear()
+    counter = complement_counter([LOOP_Z], 2)
+    assert len(reads) == 1
+    for q in (2, 3, 5, 7, 3):
+        counter(q)
+    assert len(reads) == 1
 
 
 # an optional "-" and ASCII digits; int() would also take the others

@@ -535,3 +535,59 @@ def test_derived_polys_stay_packed():
     assert (Q * zc + zn)._ks is not None
     bridge_zc, _ = connecting_split(g, "3")
     assert bridge_zc.is_zero
+
+
+# Deletion and contraction build their graphs without validation, and one
+# step of the edge identity, Z_{G-e} + t_e Z_{G/e}, stays packed: a list
+# pass for the product and slices for the widening of the sum.
+
+
+def _assert_surgery_is_valid(g):
+    for eid in g.edge_ids():
+        for r in (g.delete_edge(eid), g.contract_edge(eid)):
+            again = MultiGraph(r.vertex_count, r.edges)
+            assert r == again and again == r and hash(r) == hash(again)
+            assert type(r.edges) is tuple
+            assert all(
+                (type(e), type(u), type(v)) == (str, int, int) for e, u, v in r.edges
+            )
+
+
+def _assert_delcon_step_stays_packed(g):
+    z, lead = tutte_delcon(g), leading_part(g)
+    for eid, u, v in g.edges:
+        t, deleted, contracted = edge_var(eid), g.delete_edge(eid), g.contract_edge(eid)
+        step = tutte_delcon(deleted) + t * tutte_delcon(contracted)
+        assert step._ks is not None
+        assert (step.variables, step._ks) == (z.variables, z._ks)
+        if u != v:  # a loop would add its own terms to the lowest part
+            low = leading_part(deleted) + t * leading_part(contracted)
+            assert low._ks is not None
+            assert (low.variables, low._ks) == (lead.variables, lead._ks)
+
+
+@given(multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_surgery_and_the_delcon_step_on_random_multigraphs(g):
+    _assert_surgery_is_valid(g)
+    _assert_delcon_step_stays_packed(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        MultiGraph(1, (("1", 0, 0), ("2", 0, 0))),
+        MultiGraph(3, (("1", 1, 1), ("2", 2, 2), ("3", 1, 1))),
+        MultiGraph(4, (("1", 0, 1),)),
+        MultiGraph(5, (("1", 0, 1), ("2", 1, 0), ("3", 2, 3), ("4", 3, 4), ("5", 4, 2))),
+        MultiGraph(
+            300,
+            (("1", 0, 5), ("2", 5, 299), ("3", 299, 0), ("4", 0, 299), ("5", 150, 150)),
+        ),
+        chain_polygons(FamilySpec(2, 1, 2)),
+    ],
+    ids=["loops", "loops-and-isolated", "isolated", "two-components", "300-vertices", "chain-polygon-212"],
+)
+def test_surgery_and_the_delcon_step_on_edge_cases(g):
+    _assert_surgery_is_valid(g)
+    _assert_delcon_step_stays_packed(g)

@@ -76,21 +76,66 @@ def test_fixed_q_independence_check_reports_differing_counts(monkeypatch):
     assert detail.startswith("fixed-q counts differ at p=4: [")
 
 
+def _recorded(monkeypatch, module, name):
+    """The argument tuples of every call to module.name, through a
+    recording wrapper on the module attribute."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 def test_full_run_shares_its_counts_and_z_builds(monkeypatch, kernel_calls):
     # pinned so that any change in sharing shows up: each check run alone
-    # makes 1,132 kernel counts and 670 Z_G builds.  A system is keyed in
-    # dense form, so a Z_G that reaches the kernel once as exponent columns
-    # and once dense shares one count
-    builds = []
-    delcon = tutte._delcon
-
-    def counted(g):
-        builds.append(g)
-        return delcon(g)
-
-    monkeypatch.setattr(tutte, "_delcon", counted)
+    # makes 1,132 kernel counts, 670 Z_G builds and 162 subset walks.  A
+    # system is keyed in dense form, so a Z_G that reaches the kernel once
+    # as exponent columns and once dense shares one count
+    builds = _recorded(monkeypatch, tutte, "_delcon")
+    walks = _recorded(monkeypatch, tutte, "_walk")
     verify.run_suite("all", 5)
-    assert (len(kernel_calls), len(builds)) == (483, 83)
+    assert (len(kernel_calls), len(builds), len(walks)) == (483, 83, 51)
+    # 51 walks of 38 distinct edge lists, some both in full and acyclic
+    assert len(set(walks)) == 51 and len({w[:2] for w in walks}) == 38
+
+
+def test_subset_walks_are_shared_within_a_run_only(monkeypatch):
+    walks = _recorded(monkeypatch, tutte, "_walk")
+    for _ in range(2):
+        tutte.tutte_poly(TRIANGLE)
+        tutte.leading_part_by_forests(TRIANGLE)
+        tutte.connecting_split(TRIANGLE, "1")
+    assert len(walks) == 6
+    walks.clear()
+    with _runmemo.run():
+        z = tutte.tutte_poly(TRIANGLE)
+        assert tutte.tutte_poly(TRIANGLE)._ks is z._ks
+        for _ in range(2):
+            tutte.leading_part_by_forests(TRIANGLE)
+            tutte.connecting_split(TRIANGLE, "1")
+    assert len(walks) == 3
+    tutte.tutte_poly(TRIANGLE)
+    assert len(walks) == 4
+
+
+def test_subset_walks_are_kept_per_vertex_count():
+    # one edge list on 2 and on 3 vertices: the isolated vertex adds a
+    # component to every subset, so the two walks must not share an entry
+    small, large = MultiGraph(2, (("1", 0, 1),)), MultiGraph(3, (("1", 0, 1),))
+    with _runmemo.run():
+        pairs = [(tutte.tutte_poly(g), tutte.leading_part_by_forests(g)) for g in (small, large)]
+    assert pairs == [(tutte.tutte_delcon(g), tutte.leading_part(g)) for g in (small, large)]
+
+
+def test_eq_names_both_sides_only_when_they_differ():
+    assert verify._eq(TRIANGLE, TRIANGLE) == (True, "equal")
+    z = tutte.tutte_delcon(polygon(2))
+    assert verify._eq(z, 1) == (False, f"{z} vs 1")
+    assert verify._eq(2, 3) == (False, "2 vs 3")
 
 
 def _two_counters(z, ambient_dim, **kwargs):
@@ -178,10 +223,12 @@ def test_refusals_are_never_memoised(monkeypatch, kernel_calls):
         z = tutte.tutte_delcon(TRIANGLE)
         first, second = _two_counters(z, 4)
         n = first(5)
+        # a counter reads the budget when it is built
         monkeypatch.setenv("POTTS_BUDGET", str(5**4 - 1))
-        with pytest.raises(ResourceLimitError):
-            second(5)
+        capped = pointcount.complement_counter([z], 4)
         monkeypatch.delenv("POTTS_BUDGET")
+        with pytest.raises(ResourceLimitError):
+            capped(5)
         with pytest.raises(InvalidArgumentError):
             second(6)
         # a kernel fault is raised again, not kept
